@@ -38,9 +38,10 @@ from .core import (
 )
 from .divisor import (
     SCAN_CSV_COLUMNS,
+    DisagreementReport,
     compare_prime_multiples,
     disagreement_report,
-    divisor_system,
+    majority_quota,
     report_csv_row,
     scan_abundant,
     sigma_range,
@@ -175,15 +176,14 @@ def cmd_index(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _report_payload(n: int) -> dict:
-    report = disagreement_report(n)
-    ds = divisor_system(n)
+def _report_payload(report: DisagreementReport) -> dict:
+    sigma = sum(report.divisors)
     return {
-        "n": n,
+        "n": report.n,
         "divisors": list(report.divisors),
-        "sigma": ds.sigma,
-        "excess": ds.excess,
-        "quota": format_rational(ds.system.quota),
+        "sigma": sigma,
+        "excess": sigma - 2 * report.n,
+        "quota": format_rational(majority_quota(sigma)),
         "banzhaf": _fmt(report.banzhaf.values),
         "shapley_shubik": _fmt(report.ss.values),
         "witness_positions": list(report.witnesses),
@@ -230,7 +230,8 @@ def cmd_divisor(args: argparse.Namespace) -> int:
         raise InvalidInput("give an integer n or --scan LIMIT")
     if args.n < 2:
         raise InvalidInput(f"need n >= 2, got {args.n}")
-    payload = _report_payload(args.n)
+    report = disagreement_report(args.n)
+    payload = _report_payload(report)
     # --formulas / --prop21 narrow the report to one section; default is both
     show_witnesses = args.prop21 or not args.formulas
     show_formulas = args.formulas or not args.prop21
@@ -245,7 +246,7 @@ def cmd_divisor(args: argparse.Namespace) -> int:
     if args.format == "csv":
         writer = csv.DictWriter(sys.stdout, fieldnames=SCAN_CSV_COLUMNS)
         writer.writeheader()
-        writer.writerow(report_csv_row(disagreement_report(args.n)))
+        writer.writerow(report_csv_row(report))
         return EXIT_OK
 
     print(f"n = {payload['n']}  sigma = {payload['sigma']}  excess = {payload['excess']}")

@@ -21,7 +21,7 @@ from math import factorial
 from typing import IO, Iterable
 
 from .core import Coalition, IndexVector, QuotaMode, VotingSystem
-from .errors import InvalidInput, PreconditionFailed, UnsupportedCase
+from .errors import InvalidInput, InvariantViolation, PreconditionFailed, UnsupportedCase
 from .indices import banzhaf_dp, count_winning, ss_dp
 
 
@@ -79,13 +79,17 @@ class DivisorSystem:
         return len(self.divisors)
 
 
+def majority_quota(sigma: int) -> Fraction:
+    """Bare-majority quota over a divisor sum: ``(sigma + 1) / 2`` if even, else ``sigma / 2``."""
+    return Fraction(sigma + 1, 2) if sigma % 2 == 0 else Fraction(sigma, 2)
+
+
 def divisor_system(n: int) -> DivisorSystem:
     """Build the majority game whose players are the divisors of ``n``."""
     divs = divisors_of(n)
     sigma = sum(divs)
-    quota = Fraction(sigma + 1, 2) if sigma % 2 == 0 else Fraction(sigma, 2)
     system = VotingSystem(
-        quota=quota,
+        quota=majority_quota(sigma),
         mode=QuotaMode.MEETS_OR_EXCEEDS,
         weights=tuple(Fraction(d) for d in divs),
     )
@@ -378,7 +382,10 @@ def compare_prime_multiples(n: int, p: int, q: int) -> PrimeMultipleComparison:
     for r in (p, q):
         got = divisors_of(n * r)
         rebuilt = tuple(sorted([d * r for d in divs_n] + list(divs_n), reverse=True))
-        assert got == rebuilt, "divisor structure did not split as d, d*prime"
+        if got != rebuilt:
+            raise InvariantViolation(
+                f"divisors of {n}*{r} did not split as d and d*{r} over the divisors d of {n}"
+            )
 
     count_p = count_winning(divisor_system(n * p).system)
     count_q = count_winning(divisor_system(n * q).system)
@@ -459,6 +466,7 @@ __all__ = [
     "disagreement_report",
     "divisor_system",
     "divisors_of",
+    "majority_quota",
     "report_csv_row",
     "scan_abundant",
     "sigma_of",

@@ -31,3 +31,7 @@ class IntegerBoundary(InvalidFamily):
 
 class PreconditionFailed(VotingPowerError):
     """A named arithmetic precondition on the inputs does not hold."""
+
+
+class InvariantViolation(VotingPowerError):
+    """An identity the code relies on does not hold: a defect, not a bad input."""

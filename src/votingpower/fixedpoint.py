@@ -37,7 +37,7 @@ from .core import (
     parse_rational,
     to_rational,
 )
-from .errors import IntegerBoundary, InvalidFamily, InvalidInput
+from .errors import IntegerBoundary, InvalidFamily, InvalidInput, InvariantViolation
 from .indices import banzhaf_dp, ss_dp
 
 #: Iteration bailout used when the caller does not pick one.
@@ -164,7 +164,8 @@ def ab_family_point(k: int, c: int, parity: str) -> FamilySpec:
         want_floor = k + c
     else:
         raise InvalidFamily(f"parity must be 'odd' or 'even', got {parity!r}")
-    assert a == 1 - m * b
+    if a != 1 - m * b:
+        raise InvariantViolation(f"heavy weight {a} is not 1 - {m}*{b}")
 
     half = Fraction(1, 2) / b
     if half.denominator == 1:

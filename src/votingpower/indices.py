@@ -4,15 +4,24 @@ Three interchangeable routes compute the same exact answers:
 
 * ``ss_enum_perms`` walks all ``n!`` orderings — the ground-truth oracle for
   the Shapley-Shubik index, practical only for small ``n``.
-* ``banzhaf_enum`` / ``ss_enum_subsets`` stream all ``2**n`` coalitions as bit
-  masks (never materializing the power set) and tally critical/pivotal
-  players; the subset route uses the identity that a player's Shapley-Shubik
-  share equals ``sum |S|! (n-1-|S|)! / n!`` over losing coalitions ``S`` of
-  the other players that the player tips to winning.
-* ``banzhaf_dp`` / ``ss_dp`` expand the product of ``(1 + x**w_j)`` (tracking
-  coalition cardinality too for Shapley-Shubik), then peel one player off the
-  product per deconvolution.  Pseudo-polynomial in the scaled total weight,
-  so dozens of players are fine when weights are modest integers.
+* ``banzhaf_enum`` / ``ss_enum_subsets`` look at all ``2**n`` coalitions as
+  bit masks.  Up to 20 players they tabulate which masks win and read every
+  player's tally off one halving fold of that table, by the swing identity:
+  player ``i``'s tally is the sum of ``f_with`` over winning masks holding
+  ``i`` minus the sum of ``f_without`` over winning masks lacking it.  For
+  Banzhaf both are 1; for Shapley-Shubik they are ``(|m|-1)! (n-|m|)!`` and
+  ``|m|! (n-1-|m|)!`` (out of ``n!``).  From 21 to 24 players the masks are
+  streamed, never materialized, and each winning mask's members are tallied.
+* ``banzhaf_dp`` / ``ss_dp`` / ``count_winning(engine="dp")`` share one
+  dynamic-programming kernel.  It divides the integer weights by their gcd,
+  expands ``prod_j (1 + y x**w_j)`` (``y`` marking coalition size, for
+  Shapley-Shubik only) over the players lighter than the quota and only below
+  it, since a swing's losing side and every losing coalition lie there, and
+  keeps prefix sums.  Player ``i`` is then peeled off with the alternating
+  chain ``E_s(<t) = P_s(<t) - E_{s-1}(<t - w_i)``, which visits about
+  ``q / w_i`` points; players of equal weight share one peel.
+  Pseudo-polynomial in the quota, so dozens of players are fine when weights
+  are modest integers.
 
 All engines rescale to integers first (`scale_to_integers`), so comparisons
 are pure integer arithmetic and results are exact rationals.
@@ -22,8 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
+from itertools import accumulate, compress, permutations
+from math import factorial, gcd
+from operator import add, mul
 
 from .core import IndexKind, IndexVector, QuotaMode, VotingSystem, scale_to_integers
 from .errors import DegenerateSystem, InvalidInput
@@ -33,6 +43,10 @@ DEFAULT_ENUM_CAP = 24
 
 #: Permutation oracle ceiling (n! blow-up).
 PERM_CAP = 9
+
+# Up to this many players the enumeration engines hold the 2**n winning flags
+# in a list and fold it; above, they stream the masks.
+_FOLD_MAX_N = 20
 
 # When `engine="auto"`, prefer the DP unless the scaled weights are so large
 # that the DP table would dwarf the 2**n enumeration.
@@ -67,13 +81,32 @@ def _require_winnable(weights: list[int], qmin: int) -> None:
         raise DegenerateSystem("grand coalition loses: no winning coalition exists")
 
 
-def _subset_weight_table(weights: list[int]) -> list[int]:
-    """weights summed per bit mask; only sensible for small n (list of 2**n ints)."""
-    table = [0] * (1 << len(weights))
-    for mask in range(1, 1 << len(weights)):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] + weights[low.bit_length() - 1]
-    return table
+def _winning_flags(weights: list[int], qmin: int) -> list[bool]:
+    """Whether each bit mask wins; only sensible for small n (list of 2**n flags).
+
+    The masks holding the last player are compared against ``qmin`` minus its
+    weight, so only the subset sums of the other players are ever built.
+    """
+    *rest, last = weights
+    sums = [0]
+    for w in rest:
+        sums += [v + w for v in sums]
+    return [v >= qmin for v in sums] + [v >= qmin - last for v in sums]
+
+
+def _fold_member_sums(values: list) -> list:
+    """For each player ``i``, the sum of ``values[mask]`` over the masks holding ``i``.
+
+    Halving fold: the upper half of the list holds the top bit, and adding it
+    onto the lower half sums that bit out of every mask.
+    """
+    sums = []
+    while len(values) > 1:
+        half = len(values) // 2
+        upper = values[half:]
+        sums.append(sum(upper))
+        values = list(map(add, values[:half], upper))
+    return sums[::-1]
 
 
 def _mask_weight(weights: list[int], mask: int) -> int:
@@ -99,24 +132,33 @@ def _chunk_bounds(size: int, chunks: int) -> list[tuple[int, int]]:
 def banzhaf_enum(
     system: VotingSystem, *, cap: int = DEFAULT_ENUM_CAP, chunks: int = 1
 ) -> tuple[SwingCounts, IndexVector]:
-    """Banzhaf swing counts and index by streaming all ``2**n`` coalitions.
+    """Banzhaf swing counts and index from all ``2**n`` coalitions.
 
-    ``chunks`` splits the mask range into that many pieces whose partial
-    tallies are merged by integer addition, so the result is identical for
-    any chunk count.  Enumeration beyond ~20 players is inherently slow; use
-    the DP engine there.
+    Up to 20 players, player ``i``'s swings are the winning masks ``m``
+    holding ``i`` less those whose ``m - {i}`` still wins; as ``m -> m - {i}``
+    pairs the masks holding ``i`` with those lacking it, that is the winning
+    masks holding ``i`` less the winning masks lacking it.  One fold of the
+    winning flags gives the first count for every player.  Above 20 players
+    the masks are streamed and ``chunks`` splits their range into that many
+    pieces whose partial tallies are merged by integer addition, so the
+    result is identical for any chunk count.  Enumeration beyond ~20 players
+    is inherently slow; use the DP engine there.
     """
     n = system.n
     if n > cap:
         raise InvalidInput(f"{n} players exceeds the enumeration cap of {cap}")
     weights, qmin = _scaled_ints(system)
     _require_winnable(weights, qmin)
-    wtable = _subset_weight_table(weights) if n <= 20 else None
 
-    counts = [0] * n
-    for lo, hi in _chunk_bounds(1 << n, chunks):
-        part = _swing_counts_range(weights, qmin, lo, hi, wtable)
-        counts = [a + b for a, b in zip(counts, part)]
+    if n <= _FOLD_MAX_N:
+        winning = _winning_flags(weights, qmin)
+        total_winning = sum(winning)
+        counts = [2 * c - total_winning for c in _fold_member_sums(winning)]
+    else:
+        counts = [0] * n
+        for lo, hi in _chunk_bounds(1 << n, chunks):
+            part = _swing_counts_range(weights, qmin, lo, hi)
+            counts = [a + b for a, b in zip(counts, part)]
     total = sum(counts)
     if total == 0:  # unreachable once the grand coalition wins, kept as a guard
         raise DegenerateSystem("no player is ever critical")
@@ -124,13 +166,11 @@ def banzhaf_enum(
     return SwingCounts(tuple(counts), total), index
 
 
-def _swing_counts_range(
-    weights: list[int], qmin: int, lo: int, hi: int, wtable: list[int] | None
-) -> list[int]:
+def _swing_counts_range(weights: list[int], qmin: int, lo: int, hi: int) -> list[int]:
     n = len(weights)
     counts = [0] * n
     for mask in range(lo, hi):
-        total = wtable[mask] if wtable is not None else _mask_weight(weights, mask)
+        total = _mask_weight(weights, mask)
         if total < qmin:
             continue
         m = mask
@@ -173,36 +213,51 @@ def ss_enum_perms(system: VotingSystem) -> tuple[PivotCounts, IndexVector]:
 def ss_enum_subsets(
     system: VotingSystem, *, cap: int = DEFAULT_ENUM_CAP, chunks: int = 1
 ) -> IndexVector:
-    """Shapley-Shubik via the subset form, streaming all ``2**n`` coalitions."""
+    """Shapley-Shubik via the subset form from all ``2**n`` coalitions.
+
+    Up to 20 players the swing identity is folded once: over winning masks
+    ``m``, player ``i`` gains ``f_with(|m|) = (|m|-1)! (n-|m|)!`` when ``m``
+    holds ``i`` and loses ``f_without(|m|) = |m|! (n-1-|m|)!`` when it does
+    not.  Losing ``f_without`` over the masks lacking ``i`` is losing it over
+    all masks and gaining it back over those holding ``i``, so a single fold
+    of ``f_with + f_without`` serves every player.  Above 20 players the masks
+    are streamed in ``chunks`` pieces, as in `banzhaf_enum`.
+    """
     n = system.n
     if n > cap:
         raise InvalidInput(f"{n} players exceeds the enumeration cap of {cap}")
     weights, qmin = _scaled_ints(system)
     _require_winnable(weights, qmin)
-    wtable = _subset_weight_table(weights) if n <= 20 else None
     fact = [factorial(i) for i in range(n + 1)]
 
-    nums = [0] * n
-    for lo, hi in _chunk_bounds(1 << n, chunks):
-        part = _pivot_weight_range(weights, qmin, fact, lo, hi, wtable)
-        nums = [a + b for a, b in zip(nums, part)]
+    if n <= _FOLD_MAX_N:
+        # The empty mask never wins; the full mask holds every player, so its
+        # f_without cancels and may be 0.
+        f_with = [0] + [fact[k - 1] * fact[n - k] for k in range(1, n + 1)]
+        f_without = [fact[k] * fact[n - 1 - k] for k in range(n)] + [0]
+        f_both = list(map(add, f_with, f_without))
+        winning = _winning_flags(weights, qmin)
+        lost = sum(f_without[m.bit_count()] for m in compress(range(1 << n), winning))
+        values = [f_both[m.bit_count()] if won else 0 for m, won in enumerate(winning)]
+        del winning  # keep one 2**n list alive while folding
+        nums = [gained - lost for gained in _fold_member_sums(values)]
+    else:
+        nums = [0] * n
+        for lo, hi in _chunk_bounds(1 << n, chunks):
+            part = _pivot_weight_range(weights, qmin, fact, lo, hi)
+            nums = [a + b for a, b in zip(nums, part)]
     return IndexVector(
         IndexKind.SHAPLEY_SHUBIK, tuple(Fraction(v, fact[n]) for v in nums)
     )
 
 
 def _pivot_weight_range(
-    weights: list[int],
-    qmin: int,
-    fact: list[int],
-    lo: int,
-    hi: int,
-    wtable: list[int] | None,
+    weights: list[int], qmin: int, fact: list[int], lo: int, hi: int
 ) -> list[int]:
     n = len(weights)
     nums = [0] * n
     for mask in range(lo, hi):
-        total = wtable[mask] if wtable is not None else _mask_weight(weights, mask)
+        total = _mask_weight(weights, mask)
         if total < qmin:
             continue
         size = mask.bit_count()
@@ -217,36 +272,86 @@ def _pivot_weight_range(
     return nums
 
 
+def _reduced_ints(system: VotingSystem) -> tuple[list[int], int]:
+    """`_scaled_ints` divided by the weights' gcd, ``qmin`` rounded up: the same game."""
+    weights, qmin = _scaled_ints(system)
+    g = gcd(*weights) or 1  # all weights zero: nothing to divide
+    return [w // g for w in weights], -(-qmin // g)
+
+
+def _losing_prefix_sums(weights: list[int], qmin: int, by_size: bool) -> list[list[int]]:
+    """Prefix sums of the generating function of the coalitions lighter than ``qmin``.
+
+    Only players lighter than ``qmin`` can sit in such a coalition, so only
+    they are expanded, and only below ``qmin``.  Row ``s`` is for coalitions
+    of ``s`` members when ``by_size``; otherwise a single row covers every
+    size.  Entry ``t`` of a row, ``0 <= t <= qmin``, counts its coalitions of
+    weight below ``t``.
+    """
+    light = sorted(w for w in weights if w < qmin)
+    # least[s]: the lightest s light players' weight.  Rows that cannot get
+    # below qmin are not built, and row s stays zero below least[s].
+    least = [v for v in accumulate(light, initial=0) if v < qmin] if by_size else [0]
+    rows = [[1] + [0] * (qmin - 1)] + [[0] * qmin for _ in least[1:]]
+    for j, w in enumerate(light):
+        if by_size:
+            for s in range(min(j + 1, len(rows) - 1), 0, -1):
+                start = least[s - 1] + w
+                rows[s][start:] = map(add, rows[s][start:], rows[s - 1][start - w : qmin - w])
+        else:
+            row = rows[0]
+            row[w:] = map(add, row[w:], row[: qmin - w])
+    for s, row in enumerate(rows):
+        rows[s] = list(accumulate(row, initial=0))
+    return rows
+
+
+def _peel_points(w: int, qmin: int) -> range:
+    """``qmin - w, qmin - 2w, ...`` down to 1, lowest first; empty when ``w >= qmin``."""
+    return range((qmin - w - 1) % w + 1, qmin - w + 1, w)
+
+
+def _swings(sums: list[int], w: int, qmin: int) -> int:
+    """Coalitions of the other players that weigh ``qmin - w`` to ``qmin - 1``.
+
+    ``sums`` are the prefix sums ``P(<t)`` over every light player.  Without a
+    player of weight ``w`` they are ``E(<t) = P(<t) - E(<t - w)``, and the
+    window holds ``E(<qmin) - E(<qmin - w) = P(<qmin) - 2 E(<qmin - w)``.  A
+    player at or above ``qmin`` is not among the light ones: ``E = P``.
+    """
+    e = 0
+    for t in _peel_points(w, qmin):
+        e = sums[t] - e
+    return sums[qmin] - 2 * e
+
+
+def _pivot_weight(rows: list[list[int]], w: int, qmin: int, coef: list[int]) -> int:
+    """``sum_s coef[s]`` times the coalitions of ``s`` other players in the swing window.
+
+    As `_swings`, size by size: ``E_s(<t) = P_s(<t) - E_{s-1}(<t - w)``, and
+    the window of size ``s`` holds
+    ``P_s(<qmin) - E_{s-1}(<qmin - w) - E_s(<qmin - w)``.
+    """
+    e = [0] * len(rows)
+    for t in _peel_points(w, qmin):
+        e = [row[t] - d for row, d in zip(rows, [0] + e)]
+    window = [row[qmin] - d - f for row, d, f in zip(rows, [0] + e, e)]
+    return sum(map(mul, coef, window))
+
+
 def banzhaf_dp(system: VotingSystem) -> tuple[SwingCounts, IndexVector]:
     """Banzhaf counts from the subset-weight generating function.
 
-    Expands ``prod_j (1 + x**w_j)`` once, then removes player ``i`` by exact
-    polynomial division to count the other players' coalitions in the swing
-    window ``qmin - w_i <= weight <= qmin - 1``.
+    Expands ``prod_j (1 + x**w_j)`` over the players lighter than the quota,
+    below the quota only, then peels each distinct weight off by the
+    alternating prefix-sum chain to count the other players' coalitions in the
+    swing window ``qmin - w_i <= weight <= qmin - 1``.
     """
-    weights, qmin = _scaled_ints(system)
+    weights, qmin = _reduced_ints(system)
     _require_winnable(weights, qmin)
-    total = sum(weights)
-
-    coeff = [0] * (total + 1)
-    coeff[0] = 1
-    for w in weights:
-        if w:
-            for v in range(total, w - 1, -1):
-                coeff[v] += coeff[v - w]
-        else:
-            coeff = [2 * c for c in coeff]
-
-    counts: list[int] = []
-    for wi in weights:
-        lo, hi = max(qmin - wi, 0), min(qmin - 1, total - wi)
-        if wi == 0 or lo > hi:
-            counts.append(0)
-            continue
-        excl = coeff[:wi]
-        for v in range(wi, total + 1):
-            excl.append(coeff[v] - excl[v - wi])
-        counts.append(sum(excl[lo : hi + 1]))
+    (sums,) = _losing_prefix_sums(weights, qmin, by_size=False)
+    peeled = {w: _swings(sums, w, qmin) for w in set(weights) if w}
+    counts = [peeled.get(w, 0) for w in weights]
 
     swings = sum(counts)
     if swings == 0:
@@ -258,40 +363,21 @@ def banzhaf_dp(system: VotingSystem) -> tuple[SwingCounts, IndexVector]:
 def ss_dp(system: VotingSystem) -> IndexVector:
     """Shapley-Shubik from the joint (cardinality, weight) generating function.
 
-    Tracks how many coalitions of each size reach each weight, peels player
-    ``i`` off by deconvolution, and weighs each swing bucket of size ``s`` by
-    ``s! (n-1-s)! / n!``.
+    Counts how many coalitions of the players lighter than the quota have
+    each size and each weight below the quota, peels each distinct weight off
+    by the alternating prefix-sum chain, and weighs each swing bucket of size
+    ``s`` by ``s! (n-1-s)! / n!``.
     """
-    weights, qmin = _scaled_ints(system)
+    weights, qmin = _reduced_ints(system)
     _require_winnable(weights, qmin)
-    n, total = len(weights), sum(weights)
+    n = len(weights)
     fact = [factorial(i) for i in range(n + 1)]
-
-    # table[s][v]: coalitions of size s with scaled weight v, over all players
-    table = [[0] * (total + 1) for _ in range(n + 1)]
-    table[0][0] = 1
-    for j, w in enumerate(weights):
-        for s in range(j + 1, 0, -1):
-            row, prev = table[s], table[s - 1]
-            row[w:] = [a + b for a, b in zip(row[w:], prev[: total + 1 - w])]
-
-    pivots: list[int] = []
-    for wi in weights:
-        lo, hi = max(qmin - wi, 0), min(qmin - 1, total - wi)
-        if wi == 0 or lo > hi:
-            pivots.append(0)
-            continue
-        prev = table[0]
-        num = fact[0] * fact[n - 1] * sum(prev[lo : hi + 1])
-        for s in range(1, n):
-            cur = table[s][:wi]
-            cur += [c - d for c, d in zip(table[s][wi:], prev[: total + 1 - wi])]
-            num += fact[s] * fact[n - 1 - s] * sum(cur[lo : hi + 1])
-            prev = cur
-        pivots.append(num)
-
+    coef = [fact[s] * fact[n - 1 - s] for s in range(n)]
+    rows = _losing_prefix_sums(weights, qmin, by_size=True)
+    peeled = {w: _pivot_weight(rows, w, qmin, coef) for w in set(weights) if w}
     return IndexVector(
-        IndexKind.SHAPLEY_SHUBIK, tuple(Fraction(p, fact[n]) for p in pivots)
+        IndexKind.SHAPLEY_SHUBIK,
+        tuple(Fraction(peeled.get(w, 0), fact[n]) for w in weights),
     )
 
 
@@ -327,29 +413,25 @@ def shapley_shubik(
 def count_winning(
     system: VotingSystem, engine: str = "auto", *, cap: int = DEFAULT_ENUM_CAP
 ) -> int:
-    """Number of winning coalitions (the empty coalition counts as losing)."""
-    weights, qmin = _scaled_ints(system)
-    n = len(weights)
+    """Number of winning coalitions (the empty coalition counts as losing).
+
+    The DP counts the losing coalitions, which hold only players lighter than
+    the quota, and subtracts them from ``2**n``.
+    """
+    n = system.n
     if engine == "auto":
         engine = "enum" if n <= min(cap, 16) else "dp"
     if engine == "enum":
         if n > cap:
             raise InvalidInput(f"{n} players exceeds the enumeration cap of {cap}")
-        wtable = _subset_weight_table(weights) if n <= 20 else None
-        if wtable is not None:
-            return sum(1 for w in wtable if w >= qmin)
+        weights, qmin = _scaled_ints(system)
+        if n <= _FOLD_MAX_N:
+            return sum(_winning_flags(weights, qmin))
         return sum(
             1 for mask in range(1 << n) if _mask_weight(weights, mask) >= qmin
         )
     if engine != "dp":
         raise InvalidInput(f"unknown engine {engine!r} (expected enum, dp or auto)")
-    total = sum(weights)
-    coeff = [0] * (total + 1)
-    coeff[0] = 1
-    for w in weights:
-        if w:
-            for v in range(total, w - 1, -1):
-                coeff[v] += coeff[v - w]
-        else:
-            coeff = [2 * c for c in coeff]
-    return sum(coeff[min(qmin, total + 1) :])
+    weights, qmin = _reduced_ints(system)
+    (sums,) = _losing_prefix_sums(weights, qmin, by_size=False)
+    return (1 << n) - sums[qmin]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from votingpower import (
     InvalidInput,
+    InvariantViolation,
     PreconditionFailed,
     QuotaMode,
     SCAN_CSV_COLUMNS,
@@ -28,6 +29,7 @@ from votingpower import (
     sigma_range,
     write_scan_report,
 )
+from votingpower import divisor
 from conftest import brute_count_winning
 
 
@@ -183,6 +185,16 @@ class TestPrimeMultiples:
             compare_prime_multiples(6, 5, 37)  # prime but too small
         with pytest.raises(PreconditionFailed):
             compare_prime_multiples(6, 31, 31)  # must be distinct
+
+    def test_divisor_split_is_checked(self, monkeypatch):
+        true_divisors = divisors_of
+
+        def missing_one(n):
+            return true_divisors(n)[:-1] if n % 31 == 0 else true_divisors(n)
+
+        monkeypatch.setattr(divisor, "divisors_of", missing_one)
+        with pytest.raises(InvariantViolation, match=r"6\*31"):
+            compare_prime_multiples(6, 31, 37)
 
 
 class TestCsv:

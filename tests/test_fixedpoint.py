@@ -14,6 +14,7 @@ from votingpower import (
     IntegerBoundary,
     InvalidFamily,
     InvalidInput,
+    InvariantViolation,
     MaxIterations,
     QuotaMode,
     VotingSystem,
@@ -32,6 +33,7 @@ from votingpower import (
     trace_from_json,
     trace_to_json,
 )
+from votingpower import fixedpoint
 from votingpower.fixedpoint import _iterate
 from conftest import brute_banzhaf, brute_ss
 
@@ -164,6 +166,12 @@ class TestOneHeavyFamilyPoints:
             ab_family_point(4, 4, "odd")
         with pytest.raises(InvalidFamily):
             ab_family_point(4, 1, "sideways")
+
+    def test_weight_identity_is_checked(self, monkeypatch):
+        # Off-by-one denominators break a = 1 - m*b (k=3, c=1: a=1/4, b=1/8, m=5).
+        monkeypatch.setattr(fixedpoint, "Fraction", lambda p, q: F(p, q + 1))
+        with pytest.raises(InvariantViolation, match="1 - 5"):
+            ab_family_point(3, 1, "odd")
 
 
 class TestOneHeavySolver:

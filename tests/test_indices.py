@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from votingpower import (
@@ -23,12 +23,15 @@ from votingpower import (
     ss_enum_perms,
     ss_enum_subsets,
 )
+from votingpower import indices
 from conftest import (
+    all_coalitions,
     brute_banzhaf,
     brute_count_winning,
     brute_pivot_counts,
     brute_ss,
     brute_swing_counts,
+    brute_winning,
     random_system,
 )
 
@@ -38,6 +41,24 @@ ENGINE_PAIRS = [
     ("ss_subsets", lambda s: ss_enum_subsets(s).values),
     ("ss_dp", lambda s: ss_dp(s).values),
 ]
+
+
+def brute_ss_subsets(system: VotingSystem) -> list[Fraction]:
+    """Shapley-Shubik in subset form, straight off the coalition definitions.
+
+    Affordable where the permutation oracle is not (12 players: 4096
+    coalitions against 479 million orderings).
+    """
+    n = system.n
+    nums = [0] * n
+    for coalition in all_coalitions(n):
+        if not brute_winning(system, coalition):
+            continue
+        k = len(coalition)
+        for i in coalition:
+            if not brute_winning(system, coalition - {i}):
+                nums[i] += factorial(k - 1) * factorial(n - k)
+    return [Fraction(v, factorial(n)) for v in nums]
 
 
 class TestFrozenValues:
@@ -130,18 +151,29 @@ class TestOracleAgreement:
             assert count_winning(s, "enum") == expected
             assert count_winning(s, "dp") == expected
 
+    def test_streamed_enumeration_matches_brute(self, small_batch, monkeypatch):
+        monkeypatch.setattr(indices, "_FOLD_MAX_N", 0)  # the only path above 20 players
+        for s in small_batch:
+            assert count_winning(s, "enum") == brute_count_winning(s)
+            if brute_count_winning(s) == 0:
+                continue
+            assert list(banzhaf_enum(s)[0].per_player) == brute_swing_counts(s)
+            assert list(ss_enum_subsets(s).values) == brute_ss_subsets(s)
+
 
 class TestChunking:
-    def test_chunk_counts_agree(self):
+    def test_chunk_counts_agree(self, monkeypatch):
         s = VotingSystem(
             quota=20, mode=QuotaMode.MEETS_OR_EXCEEDS, weights=(9, 7, 6, 5, 4, 3, 2, 1)
         )
-        baseline_swings, baseline = banzhaf_enum(s, chunks=1)
-        for chunks in (2, 5, 64, 1000):
+        baseline_swings, baseline = banzhaf_enum(s)
+        ss_baseline = ss_enum_subsets(s)
+        # chunks split the streamed mask range, which runs above 20 players
+        monkeypatch.setattr(indices, "_FOLD_MAX_N", 0)
+        for chunks in (1, 2, 5, 64, 1000):
             swings, vec = banzhaf_enum(s, chunks=chunks)
             assert swings == baseline_swings and vec == baseline
-        ss_baseline = ss_enum_subsets(s, chunks=1)
-        for chunks in (2, 5, 64):
+        for chunks in (1, 2, 5, 64):
             assert ss_enum_subsets(s, chunks=chunks) == ss_baseline
 
 
@@ -254,3 +286,99 @@ class TestStructuralProperties:
                 == shapley_shubik(s, "enum")
                 == shapley_shubik(s, "dp")
             )
+
+
+def _system(quota, weights, mode=QuotaMode.MEETS_OR_EXCEEDS) -> VotingSystem:
+    return VotingSystem(quota=Fraction(quota), mode=mode, weights=tuple(map(Fraction, weights)))
+
+
+@st.composite
+def kernel_games(draw, max_n: int = 7) -> VotingSystem:
+    """Games that reach every branch of the counting kernels.
+
+    Weights come from a few shared values (ties, zero-weight players), times a
+    common factor, over a small denominator (``p/q`` weights).  The quota is a
+    subset sum, a share of the total (often at or below a single weight), or
+    above the total (a degenerate game); either quota mode.
+    """
+    n = draw(st.integers(1, max_n))
+    values = draw(st.lists(st.integers(0, 12), min_size=1, max_size=n))
+    factor = draw(st.integers(1, 6))
+    den = draw(st.sampled_from((1, 1, 2, 3, 12)))
+    weights = [Fraction(draw(st.sampled_from(values)) * factor, den) for _ in range(n)]
+    total = sum(weights, Fraction(0))
+    kind = draw(st.sampled_from(("subset", "share", "above")))
+    if kind == "subset":
+        members = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        quota = sum((w for w, m in zip(weights, members) if m), Fraction(0))
+    elif kind == "share":
+        quota = total * Fraction(draw(st.integers(1, 100)), 100)
+    else:
+        quota = total + Fraction(draw(st.integers(1, 3)), den)
+    if quota <= 0:
+        quota = Fraction(1, 2 * den)
+    mode = draw(st.sampled_from(tuple(QuotaMode)))
+    return VotingSystem(quota=quota, mode=mode, weights=tuple(weights))
+
+
+class TestKernelBranches:
+    """The DP kernel and the enumeration fold against the independent oracles."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(kernel_games())
+    @example(_system(3, (2, 0, 1, 0)))  # zero-weight players
+    @example(_system(5, (7, 5, 2, 1)))  # players at and above the quota
+    @example(_system(12, (8, 6, 4, 2)))  # common factor 2
+    @example(_system(4, (3, 3, 1, 1, 1)))  # tied weights
+    @example(_system(4, (3, 3, 1, 1, 1), QuotaMode.STRICTLY_EXCEEDS))
+    @example(_system(6, (4, 2, 3, 1)))  # quota equal to a subset sum
+    @example(_system("1/2", ("1/3", "1/6", "1/4", "1/4"), QuotaMode.STRICTLY_EXCEEDS))
+    @example(_system(9, (2, 1, 0)))  # the grand coalition loses
+    @example(_system(1, (0, 0)))  # every weight zero
+    def test_dp_matches_oracles(self, s):
+        winning = brute_count_winning(s)
+        assert count_winning(s, "dp") == winning
+        if winning == 0:
+            with pytest.raises(DegenerateSystem):
+                banzhaf_dp(s)
+            with pytest.raises(DegenerateSystem):
+                ss_dp(s)
+            return
+        swings, bz = banzhaf_dp(s)
+        assert list(swings.per_player) == brute_swing_counts(s)
+        assert list(bz.values) == brute_banzhaf(s)
+        expected_ss = brute_ss(s)
+        assert list(ss_dp(s).values) == expected_ss
+        assert list(ss_enum_perms(s)[1].values) == expected_ss
+
+    @settings(deadline=None, max_examples=30)
+    @given(kernel_games(max_n=12))
+    @example(_system(9, (2, 1, 0)))
+    def test_enum_fold_matches_oracles(self, s):
+        winning = brute_count_winning(s)
+        assert count_winning(s, "enum") == winning
+        if winning == 0:
+            with pytest.raises(DegenerateSystem):
+                banzhaf_enum(s)
+            with pytest.raises(DegenerateSystem):
+                ss_enum_subsets(s)
+            return
+        swings, bz = banzhaf_enum(s)
+        assert list(swings.per_player) == brute_swing_counts(s)
+        assert list(bz.values) == brute_banzhaf(s)
+        assert list(ss_enum_subsets(s).values) == brute_ss_subsets(s)
+
+    @settings(deadline=None, max_examples=4)
+    @given(
+        st.lists(st.integers(0, 6), min_size=17, max_size=20).filter(any),
+        st.integers(1, 100),
+        st.sampled_from(tuple(QuotaMode)),
+    )
+    def test_enum_fold_matches_dp_at_17_to_20_players(self, weights, share, mode):
+        quota = max(Fraction(sum(weights) * share, 100), Fraction(1, 2))
+        s = VotingSystem(quota=quota, mode=mode, weights=tuple(weights))
+        assert count_winning(s, "enum") == count_winning(s, "dp")
+        if count_winning(s, "dp") == 0:
+            return
+        assert banzhaf_enum(s) == banzhaf_dp(s)
+        assert ss_enum_subsets(s) == ss_dp(s)
