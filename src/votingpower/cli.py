@@ -41,7 +41,6 @@ from .divisor import (
     DisagreementReport,
     compare_prime_multiples,
     disagreement_report,
-    majority_quota,
     report_csv_row,
     scan_abundant,
     sigma_range,
@@ -177,13 +176,13 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def _report_payload(report: DisagreementReport) -> dict:
-    sigma = sum(report.divisors)
+    game = report.game
     return {
-        "n": report.n,
-        "divisors": list(report.divisors),
-        "sigma": sigma,
-        "excess": sigma - 2 * report.n,
-        "quota": format_rational(majority_quota(sigma)),
+        "n": game.n,
+        "divisors": list(game.divisors),
+        "sigma": game.sigma,
+        "excess": game.excess,
+        "quota": format_rational(game.system.quota),
         "banzhaf": _fmt(report.banzhaf.values),
         "shapley_shubik": _fmt(report.ss.values),
         "witness_positions": list(report.witnesses),

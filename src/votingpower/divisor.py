@@ -79,17 +79,13 @@ class DivisorSystem:
         return len(self.divisors)
 
 
-def majority_quota(sigma: int) -> Fraction:
-    """Bare-majority quota over a divisor sum: ``(sigma + 1) / 2`` if even, else ``sigma / 2``."""
-    return Fraction(sigma + 1, 2) if sigma % 2 == 0 else Fraction(sigma, 2)
-
-
 def divisor_system(n: int) -> DivisorSystem:
     """Build the majority game whose players are the divisors of ``n``."""
     divs = divisors_of(n)
     sigma = sum(divs)
+    quota = Fraction(sigma + 1, 2) if sigma % 2 == 0 else Fraction(sigma, 2)
     system = VotingSystem(
-        quota=majority_quota(sigma),
+        quota=quota,
         mode=QuotaMode.MEETS_OR_EXCEEDS,
         weights=tuple(Fraction(d) for d in divs),
     )
@@ -232,17 +228,25 @@ class DisagreementReport:
     ``witnesses`` lists seat positions (into the descending divisor order)
     whose Banzhaf and Shapley-Shubik values differ.  ``formula_notes``
     records, per predicted class, whether the engines confirmed the closed
-    form; ``formula_match`` is None when no catalog entry applies.
+    form; ``formula_match`` is None when no catalog entry applies.  ``game``
+    is the divisor system both indices were computed for.
     """
 
-    n: int
-    divisors: tuple[int, ...]
+    game: DivisorSystem
     banzhaf: IndexVector
     ss: IndexVector
     witnesses: tuple[int, ...]
     prediction: CasePrediction | None
     formula_notes: tuple[str, ...]
     formula_match: bool | None
+
+    @property
+    def n(self) -> int:
+        return self.game.n
+
+    @property
+    def divisors(self) -> tuple[int, ...]:
+        return self.game.divisors
 
 
 def _check_class(
@@ -284,8 +288,7 @@ def disagreement_report(n: int) -> DisagreementReport:
         pred = case_prediction(ds)
     except UnsupportedCase:
         return DisagreementReport(
-            n=n,
-            divisors=ds.divisors,
+            game=ds,
             banzhaf=bz,
             ss=ss,
             witnesses=witnesses,
@@ -305,8 +308,7 @@ def disagreement_report(n: int) -> DisagreementReport:
     _check_class("one banzhaf", [d - 1], bz, pred.one_banzhaf, notes, matches)
     _check_class("one shapley-shubik", [d - 1], ss, pred.one_ss, notes, matches)
     return DisagreementReport(
-        n=n,
-        divisors=ds.divisors,
+        game=ds,
         banzhaf=bz,
         ss=ss,
         witnesses=witnesses,
@@ -421,8 +423,8 @@ def report_csv_row(report: DisagreementReport) -> dict[str, str]:
     return {
         "n": str(report.n),
         "d": str(len(report.divisors)),
-        "sigma": str(sum(report.divisors)),
-        "k": str(sum(report.divisors) - 2 * report.n),
+        "sigma": str(report.game.sigma),
+        "k": str(report.game.excess),
         "banzhaf_vector": ";".join(str(v) for v in report.banzhaf.values),
         "ss_vector": ";".join(str(v) for v in report.ss.values),
         "witness_positions": ";".join(str(i) for i in report.witnesses),
@@ -466,7 +468,6 @@ __all__ = [
     "disagreement_report",
     "divisor_system",
     "divisors_of",
-    "majority_quota",
     "report_csv_row",
     "scan_abundant",
     "sigma_of",

@@ -416,7 +416,8 @@ def count_winning(
     """Number of winning coalitions (the empty coalition counts as losing).
 
     The DP counts the losing coalitions, which hold only players lighter than
-    the quota, and subtracts them from ``2**n``.
+    the quota, and subtracts them from ``2**n``; it answers 0 at once when
+    the grand coalition loses.
     """
     n = system.n
     if engine == "auto":
@@ -433,5 +434,7 @@ def count_winning(
     if engine != "dp":
         raise InvalidInput(f"unknown engine {engine!r} (expected enum, dp or auto)")
     weights, qmin = _reduced_ints(system)
+    if sum(weights) < qmin:
+        return 0  # the grand coalition loses; no table as wide as the quota
     (sums,) = _losing_prefix_sums(weights, qmin, by_size=False)
     return (1 << n) - sums[qmin]

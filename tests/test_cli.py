@@ -88,6 +88,13 @@ class TestIndexCommand:
         assert code == EXIT_DEGENERATE
         assert "error:" in err
 
+    def test_huge_unwinnable_quota_is_degenerate_on_dp(self, capsys):
+        code, _, err = run(
+            capsys, "index", "--engine", "dp", "--quota", "1000000000000", "--weights", "1,1"
+        )
+        assert code == EXIT_DEGENERATE
+        assert "error:" in err
+
     def test_bad_rational(self, capsys):
         code, _, err = run(capsys, "index", "--quota", "3.5", "--weights", "2,1,1")
         assert code == EXIT_USAGE

@@ -216,6 +216,20 @@ class TestCapsAndErrors:
             ss_enum_perms(s)
         assert count_winning(s) == 0  # counting is still well defined
 
+    @pytest.mark.parametrize("mode", tuple(QuotaMode))
+    def test_huge_unwinnable_quota_builds_no_table(self, mode):
+        # a DP table as wide as this quota would not fit in memory
+        for s in (
+            VotingSystem(quota=10**12, mode=mode, weights=(1, 1)),
+            VotingSystem(quota=10**12, mode=mode, weights=(1,) * 17),  # auto picks dp
+        ):
+            assert count_winning(s, "dp") == 0
+            assert count_winning(s) == 0
+            with pytest.raises(DegenerateSystem):
+                banzhaf_dp(s)
+            with pytest.raises(DegenerateSystem):
+                ss_dp(s)
+
     def test_strict_mode_at_exact_total(self):
         s = VotingSystem(quota=3, mode=QuotaMode.STRICTLY_EXCEEDS, weights=(2, 1))
         with pytest.raises(DegenerateSystem):
@@ -299,7 +313,8 @@ def kernel_games(draw, max_n: int = 7) -> VotingSystem:
     Weights come from a few shared values (ties, zero-weight players), times a
     common factor, over a small denominator (``p/q`` weights).  The quota is a
     subset sum, a share of the total (often at or below a single weight), or
-    above the total (a degenerate game); either quota mode.
+    above the total by a little or by far (a degenerate game); either quota
+    mode.
     """
     n = draw(st.integers(1, max_n))
     values = draw(st.lists(st.integers(0, 12), min_size=1, max_size=n))
@@ -314,7 +329,7 @@ def kernel_games(draw, max_n: int = 7) -> VotingSystem:
     elif kind == "share":
         quota = total * Fraction(draw(st.integers(1, 100)), 100)
     else:
-        quota = total + Fraction(draw(st.integers(1, 3)), den)
+        quota = total + Fraction(draw(st.sampled_from((1, 2, 3, 10**12))), den)
     if quota <= 0:
         quota = Fraction(1, 2 * den)
     mode = draw(st.sampled_from(tuple(QuotaMode)))
