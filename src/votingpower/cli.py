@@ -13,8 +13,8 @@ Subcommands:
 * ``verify`` — re-derive the package's catalog of claims from scratch and
   report PASS/FAIL per check.
 
-Exit codes: 0 success, 1 a verified check failed, 2 bad usage or malformed
-input, 3 the requested system is degenerate.
+Exit codes: 0 success, 1 a verified check failed, 2 bad usage, malformed
+input or a table over its budget, 3 the requested system is degenerate.
 """
 
 from __future__ import annotations
@@ -37,13 +37,12 @@ from .core import (
     scale_to_integers,
 )
 from .divisor import (
-    SCAN_CSV_COLUMNS,
     DisagreementReport,
     compare_prime_multiples,
     disagreement_report,
-    report_csv_row,
     scan_abundant,
     sigma_range,
+    write_scan_report,
 )
 from .errors import (
     DegenerateSystem,
@@ -197,15 +196,12 @@ def cmd_divisor(args: argparse.Namespace) -> int:
             raise InvalidInput("give either a single n or --scan, not both")
         triples = scan_abundant(args.scan, args.divisors)
         if args.report:
-            stream = open(args.out, "w", newline="") if args.out else sys.stdout
-            try:
-                writer = csv.DictWriter(stream, fieldnames=SCAN_CSV_COLUMNS)
-                writer.writeheader()
-                for n, _, _ in triples:
-                    writer.writerow(report_csv_row(disagreement_report(n)))
-            finally:
-                if args.out:
-                    stream.close()
+            reports = (disagreement_report(n) for n, _, _ in triples)
+            if args.out:
+                with open(args.out, "w", newline="") as stream:
+                    write_scan_report(reports, stream)
+            else:
+                write_scan_report(reports, sys.stdout)
             return EXIT_OK
         if args.format == "json":
             print(
@@ -243,9 +239,7 @@ def cmd_divisor(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
         return EXIT_OK
     if args.format == "csv":
-        writer = csv.DictWriter(sys.stdout, fieldnames=SCAN_CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerow(report_csv_row(report))
+        write_scan_report([report], sys.stdout)
         return EXIT_OK
 
     print(f"n = {payload['n']}  sigma = {payload['sigma']}  excess = {payload['excess']}")
@@ -705,13 +699,13 @@ def _suite_joint_banzhaf(kmax: int = 8) -> list[Check]:
     return checks
 
 
-SUITES: dict[str, Callable[[int], list[Check]]] = {
-    "prop21": lambda limit: _suite_perfect(limit),
-    "prop22census": lambda limit: _suite_census(limit),
-    "prop24": lambda limit: _suite_prime_multiples(),
-    "conj23": lambda limit: _suite_small_excess_disagreement(limit),
-    "tables32": lambda limit: _suite_two_heavy_tables(),
-    "sec33": lambda limit: _suite_joint_banzhaf(),
+SUITES: dict[str, Callable[[argparse.Namespace], list[Check]]] = {
+    "prop21": lambda args: _suite_perfect(args.limit),
+    "prop22census": lambda args: _suite_census(args.limit),
+    "prop24": lambda args: _suite_prime_multiples(args.n, args.p, args.m),
+    "conj23": lambda args: _suite_small_excess_disagreement(args.limit),
+    "tables32": lambda args: _suite_two_heavy_tables(),
+    "sec33": lambda args: _suite_joint_banzhaf(),
 }
 
 
@@ -719,10 +713,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     checks: list[Check] = []
     for name in names:
-        if name == "prop24":
-            checks.extend(_suite_prime_multiples(args.n, args.p, args.m))
-        else:
-            checks.extend(SUITES[name](args.limit))
+        checks.extend(SUITES[name](args))
     if args.format == "json":
         print(
             json.dumps(

@@ -35,3 +35,7 @@ class PreconditionFailed(VotingPowerError):
 
 class InvariantViolation(VotingPowerError):
     """An identity the code relies on does not hold: a defect, not a bad input."""
+
+
+class TooLarge(InvalidInput):
+    """The work an input asks for is over a fixed budget, refused before allocating."""

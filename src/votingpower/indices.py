@@ -4,14 +4,15 @@ Three interchangeable routes compute the same exact answers:
 
 * ``ss_enum_perms`` walks all ``n!`` orderings — the ground-truth oracle for
   the Shapley-Shubik index, practical only for small ``n``.
-* ``banzhaf_enum`` / ``ss_enum_subsets`` look at all ``2**n`` coalitions as
-  bit masks.  Up to 20 players they tabulate which masks win and read every
-  player's tally off one halving fold of that table, by the swing identity:
-  player ``i``'s tally is the sum of ``f_with`` over winning masks holding
-  ``i`` minus the sum of ``f_without`` over winning masks lacking it.  For
-  Banzhaf both are 1; for Shapley-Shubik they are ``(|m|-1)! (n-|m|)!`` and
-  ``|m|! (n-1-|m|)!`` (out of ``n!``).  From 21 to 24 players the masks are
-  streamed, never materialized, and each winning mask's members are tallied.
+* ``banzhaf_enum`` / ``ss_enum_subsets`` / ``count_winning(engine="enum")``
+  look at all ``2**n`` coalitions as bit masks.  They tabulate which masks
+  win and read every player's tally off one halving fold of that table, by
+  the swing identity: player ``i``'s tally is the sum of ``f_with`` over
+  winning masks holding ``i`` minus the sum of ``f_without`` over winning
+  masks lacking it.  For Banzhaf both are 1; for Shapley-Shubik they are
+  ``(|m|-1)! (n-|m|)!`` and ``|m|! (n-1-|m|)!`` (out of ``n!``).  Above 20
+  players the table is built and folded one slice of ``2**20`` masks at a
+  time, one slice per setting of the players above the first 20.
 * ``banzhaf_dp`` / ``ss_dp`` / ``count_winning(engine="dp")`` share one
   dynamic-programming kernel.  It divides the integer weights by their gcd,
   expands ``prod_j (1 + y x**w_j)`` (``y`` marking coalition size, for
@@ -21,7 +22,8 @@ Three interchangeable routes compute the same exact answers:
   chain ``E_s(<t) = P_s(<t) - E_{s-1}(<t - w_i)``, which visits about
   ``q / w_i`` points; players of equal weight share one peel.
   Pseudo-polynomial in the quota, so dozens of players are fine when weights
-  are modest integers.
+  are modest integers; a table of more than ``2**23`` cells is refused with
+  `TooLarge` before it is built.
 
 All engines rescale to integers first (`scale_to_integers`), so comparisons
 are pure integer arithmetic and results are exact rationals.
@@ -29,6 +31,7 @@ are pure integer arithmetic and results are exact rationals.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, permutations
@@ -36,7 +39,7 @@ from math import factorial, gcd
 from operator import add, mul
 
 from .core import IndexKind, IndexVector, QuotaMode, VotingSystem, scale_to_integers
-from .errors import DegenerateSystem, InvalidInput
+from .errors import DegenerateSystem, InvalidInput, TooLarge
 
 #: Default ceiling on the player count for the 2**n enumeration engines.
 DEFAULT_ENUM_CAP = 24
@@ -44,9 +47,14 @@ DEFAULT_ENUM_CAP = 24
 #: Permutation oracle ceiling (n! blow-up).
 PERM_CAP = 9
 
-# Up to this many players the enumeration engines hold the 2**n winning flags
-# in a list and fold it; above, they stream the masks.
-_FOLD_MAX_N = 20
+# The enumeration engines fold the winning flags of at most 2**_BLOCK_BITS
+# masks at a time, which bounds their memory; the players above the block
+# split the mask range into that many slices.
+_BLOCK_BITS = 20
+
+# The dynamic programs refuse a table of more cells than this before building
+# it: a quota-wide row can otherwise exhaust memory or overflow a list.
+_DP_CELL_BUDGET = 1 << 23
 
 # When `engine="auto"`, prefer the DP unless the scaled weights are so large
 # that the DP table would dwarf the 2**n enumeration.
@@ -81,106 +89,98 @@ def _require_winnable(weights: list[int], qmin: int) -> None:
         raise DegenerateSystem("grand coalition loses: no winning coalition exists")
 
 
-def _winning_flags(weights: list[int], qmin: int) -> list[bool]:
-    """Whether each bit mask wins; only sensible for small n (list of 2**n flags).
+def _require_enumerable(n: int, cap: int) -> None:
+    if n > cap:
+        raise InvalidInput(f"{n} players exceeds the enumeration cap of {cap}")
 
-    The masks holding the last player are compared against ``qmin`` minus its
-    weight, so only the subset sums of the other players are ever built.
-    """
-    *rest, last = weights
+
+def _subset_sums(weights: list[int]) -> list[int]:
+    """The weight of every bit mask over ``weights`` (bit ``i`` is player ``i``)."""
     sums = [0]
-    for w in rest:
+    for w in weights:
         sums += [v + w for v in sums]
-    return [v >= qmin for v in sums] + [v >= qmin - last for v in sums]
+    return sums
 
 
-def _fold_member_sums(values: list) -> list:
-    """For each player ``i``, the sum of ``values[mask]`` over the masks holding ``i``.
+def _winning_slices(weights: list[int], qmin: int) -> Iterator[tuple[int, list[bool]]]:
+    """Yield ``(high, flags)``: whether each mask of the block's players wins.
+
+    The block is the first `_BLOCK_BITS` players; ``high`` is a mask of the
+    players above it, who sit in every coalition of its slice, so a block
+    mask wins when it weighs at least ``qmin`` less their weight.  The masks
+    holding the block's last player are compared against that less its
+    weight, so only the subset sums of the block's other players are ever
+    built, and only once; they are freed before the last slice is folded.
+    """
+    *rest, last = weights[:_BLOCK_BITS]
+    sums = _subset_sums(rest)
+    aboves = _subset_sums(weights[_BLOCK_BITS:])
+    for high, above in enumerate(aboves):
+        need = qmin - above
+        flags = [v >= need for v in sums] + [v >= need - last for v in sums]
+        if high == len(aboves) - 1:
+            del sums  # the last slice is folded without them
+        yield high, flags
+
+
+def _fold(values: list) -> tuple[list, int]:
+    """Per bit, the sum of ``values[mask]`` over the masks holding it; and the sum of all.
 
     Halving fold: the upper half of the list holds the top bit, and adding it
     onto the lower half sums that bit out of every mask.
     """
-    sums = []
+    held = []
     while len(values) > 1:
         half = len(values) // 2
         upper = values[half:]
-        sums.append(sum(upper))
+        held.append(sum(upper))
         values = list(map(add, values[:half], upper))
-    return sums[::-1]
+    return held[::-1], values[0]
 
 
-def _mask_weight(weights: list[int], mask: int) -> int:
-    total = 0
-    while mask:
-        low = mask & -mask
-        total += weights[low.bit_length() - 1]
-        mask ^= low
+def _credit(held: list[int], values: list, high: int) -> int:
+    """Add to ``held[i]`` the sum of a slice's ``values`` over its masks holding player ``i``.
+
+    The block's players get their fold; a player above the block is in every
+    mask of the slice or in none, so it gets the slice's total or nothing.
+    Returns that total.
+    """
+    block, total = _fold(values)
+    for i, v in enumerate(block):
+        held[i] += v
+    for i in range(len(block), len(held)):
+        if high >> (i - len(block)) & 1:
+            held[i] += total
     return total
 
 
-def _chunk_bounds(size: int, chunks: int) -> list[tuple[int, int]]:
-    chunks = max(1, min(chunks, size))
-    step, rem = divmod(size, chunks)
-    bounds, start = [], 0
-    for i in range(chunks):
-        stop = start + step + (1 if i < rem else 0)
-        bounds.append((start, stop))
-        start = stop
-    return bounds
-
-
 def banzhaf_enum(
-    system: VotingSystem, *, cap: int = DEFAULT_ENUM_CAP, chunks: int = 1
+    system: VotingSystem, *, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[SwingCounts, IndexVector]:
     """Banzhaf swing counts and index from all ``2**n`` coalitions.
 
-    Up to 20 players, player ``i``'s swings are the winning masks ``m``
-    holding ``i`` less those whose ``m - {i}`` still wins; as ``m -> m - {i}``
-    pairs the masks holding ``i`` with those lacking it, that is the winning
-    masks holding ``i`` less the winning masks lacking it.  One fold of the
-    winning flags gives the first count for every player.  Above 20 players
-    the masks are streamed and ``chunks`` splits their range into that many
-    pieces whose partial tallies are merged by integer addition, so the
-    result is identical for any chunk count.  Enumeration beyond ~20 players
-    is inherently slow; use the DP engine there.
+    Player ``i``'s swings are the winning masks ``m`` holding ``i`` less
+    those whose ``m - {i}`` still wins; as ``m -> m - {i}`` pairs the masks
+    holding ``i`` with those lacking it, that is the winning masks holding
+    ``i`` less the winning masks lacking it.  One fold of the winning flags
+    gives the first count for every player, a slice of ``2**20`` masks at a
+    time above 20 players.  Enumeration beyond ~20 players is inherently
+    slow; use the DP engine there.
     """
     n = system.n
-    if n > cap:
-        raise InvalidInput(f"{n} players exceeds the enumeration cap of {cap}")
+    _require_enumerable(n, cap)
     weights, qmin = _scaled_ints(system)
     _require_winnable(weights, qmin)
 
-    if n <= _FOLD_MAX_N:
-        winning = _winning_flags(weights, qmin)
-        total_winning = sum(winning)
-        counts = [2 * c - total_winning for c in _fold_member_sums(winning)]
-    else:
-        counts = [0] * n
-        for lo, hi in _chunk_bounds(1 << n, chunks):
-            part = _swing_counts_range(weights, qmin, lo, hi)
-            counts = [a + b for a, b in zip(counts, part)]
+    held, total_winning = [0] * n, 0
+    for high, winning in _winning_slices(weights, qmin):
+        total_winning += _credit(held, winning, high)
+    counts = [2 * c - total_winning for c in held]
     total = sum(counts)
     if total == 0:  # unreachable once the grand coalition wins, kept as a guard
         raise DegenerateSystem("no player is ever critical")
     index = IndexVector(IndexKind.BANZHAF, tuple(Fraction(c, total) for c in counts))
     return SwingCounts(tuple(counts), total), index
-
-
-def _swing_counts_range(weights: list[int], qmin: int, lo: int, hi: int) -> list[int]:
-    n = len(weights)
-    counts = [0] * n
-    for mask in range(lo, hi):
-        total = _mask_weight(weights, mask)
-        if total < qmin:
-            continue
-        m = mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            if total - weights[i] < qmin:
-                counts[i] += 1
-            m ^= low
-    return counts
 
 
 def ss_enum_perms(system: VotingSystem) -> tuple[PivotCounts, IndexVector]:
@@ -210,66 +210,40 @@ def ss_enum_perms(system: VotingSystem) -> tuple[PivotCounts, IndexVector]:
     return PivotCounts(tuple(counts), total), index
 
 
-def ss_enum_subsets(
-    system: VotingSystem, *, cap: int = DEFAULT_ENUM_CAP, chunks: int = 1
-) -> IndexVector:
+def ss_enum_subsets(system: VotingSystem, *, cap: int = DEFAULT_ENUM_CAP) -> IndexVector:
     """Shapley-Shubik via the subset form from all ``2**n`` coalitions.
 
-    Up to 20 players the swing identity is folded once: over winning masks
-    ``m``, player ``i`` gains ``f_with(|m|) = (|m|-1)! (n-|m|)!`` when ``m``
-    holds ``i`` and loses ``f_without(|m|) = |m|! (n-1-|m|)!`` when it does
-    not.  Losing ``f_without`` over the masks lacking ``i`` is losing it over
-    all masks and gaining it back over those holding ``i``, so a single fold
-    of ``f_with + f_without`` serves every player.  Above 20 players the masks
-    are streamed in ``chunks`` pieces, as in `banzhaf_enum`.
+    The swing identity is folded once: over winning masks ``m``, player
+    ``i`` gains ``f_with(|m|) = (|m|-1)! (n-|m|)!`` when ``m`` holds ``i``
+    and loses ``f_without(|m|) = |m|! (n-1-|m|)!`` when it does not.  Losing
+    ``f_without`` over the masks lacking ``i`` is losing it over all masks
+    and gaining it back over those holding ``i``, so a single fold of
+    ``f_with + f_without`` serves every player, a slice of ``2**20`` masks
+    at a time above 20 players.
     """
     n = system.n
-    if n > cap:
-        raise InvalidInput(f"{n} players exceeds the enumeration cap of {cap}")
+    _require_enumerable(n, cap)
     weights, qmin = _scaled_ints(system)
     _require_winnable(weights, qmin)
     fact = [factorial(i) for i in range(n + 1)]
+    # The empty mask never wins; the full mask holds every player, so its
+    # f_without cancels and may be 0.
+    f_with = [0] + [fact[k - 1] * fact[n - k] for k in range(1, n + 1)]
+    f_without = [fact[k] * fact[n - 1 - k] for k in range(n)] + [0]
+    f_both = list(map(add, f_with, f_without))
 
-    if n <= _FOLD_MAX_N:
-        # The empty mask never wins; the full mask holds every player, so its
-        # f_without cancels and may be 0.
-        f_with = [0] + [fact[k - 1] * fact[n - k] for k in range(1, n + 1)]
-        f_without = [fact[k] * fact[n - 1 - k] for k in range(n)] + [0]
-        f_both = list(map(add, f_with, f_without))
-        winning = _winning_flags(weights, qmin)
-        lost = sum(f_without[m.bit_count()] for m in compress(range(1 << n), winning))
-        values = [f_both[m.bit_count()] if won else 0 for m, won in enumerate(winning)]
-        del winning  # keep one 2**n list alive while folding
-        nums = [gained - lost for gained in _fold_member_sums(values)]
-    else:
-        nums = [0] * n
-        for lo, hi in _chunk_bounds(1 << n, chunks):
-            part = _pivot_weight_range(weights, qmin, fact, lo, hi)
-            nums = [a + b for a, b in zip(nums, part)]
+    held, lost = [0] * n, 0
+    for high, winning in _winning_slices(weights, qmin):
+        # a slice's masks also hold the players of ``high``: shift the sizes
+        above = high.bit_count()
+        both, without = f_both[above:], f_without[above:]
+        lost += sum(without[m.bit_count()] for m in compress(range(len(winning)), winning))
+        values = [both[m.bit_count()] if won else 0 for m, won in enumerate(winning)]
+        del winning  # keep one slice-sized list alive while folding
+        _credit(held, values, high)
     return IndexVector(
-        IndexKind.SHAPLEY_SHUBIK, tuple(Fraction(v, fact[n]) for v in nums)
+        IndexKind.SHAPLEY_SHUBIK, tuple(Fraction(v - lost, fact[n]) for v in held)
     )
-
-
-def _pivot_weight_range(
-    weights: list[int], qmin: int, fact: list[int], lo: int, hi: int
-) -> list[int]:
-    n = len(weights)
-    nums = [0] * n
-    for mask in range(lo, hi):
-        total = _mask_weight(weights, mask)
-        if total < qmin:
-            continue
-        size = mask.bit_count()
-        weight_factor = fact[size - 1] * fact[n - size]
-        m = mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            if total - weights[i] < qmin:
-                nums[i] += weight_factor
-            m ^= low
-    return nums
 
 
 def _reduced_ints(system: VotingSystem) -> tuple[list[int], int]:
@@ -292,6 +266,11 @@ def _losing_prefix_sums(weights: list[int], qmin: int, by_size: bool) -> list[li
     # least[s]: the lightest s light players' weight.  Rows that cannot get
     # below qmin are not built, and row s stays zero below least[s].
     least = [v for v in accumulate(light, initial=0) if v < qmin] if by_size else [0]
+    if len(least) * qmin > _DP_CELL_BUDGET:
+        raise TooLarge(
+            f"the dynamic program needs {len(least)} x {qmin} table cells, "
+            f"over its budget of {_DP_CELL_BUDGET}"
+        )
     rows = [[1] + [0] * (qmin - 1)] + [[0] * qmin for _ in least[1:]]
     for j, w in enumerate(light):
         if by_size:
@@ -388,8 +367,12 @@ def _pick_engine(system: VotingSystem, engine: str, cap: int) -> str:
         raise InvalidInput(f"unknown engine {engine!r} (expected enum, dp or auto)")
     if system.n > cap:
         return "dp"
-    scaled = scale_to_integers(system)
-    return "enum" if sum(scaled.weights) > _AUTO_DP_TOTAL_CAP else "dp"
+    total = sum(scale_to_integers(system).weights)
+    # The DP's widest table has a row per coalition size, each at most half
+    # the scaled total wide (the kernel divides out the scale's factor 2),
+    # so auto never sends to the DP a game whose table it would refuse.
+    fits = (system.n + 1) * (total // 2) <= _DP_CELL_BUDGET
+    return "dp" if total <= _AUTO_DP_TOTAL_CAP and fits else "enum"
 
 
 def banzhaf(
@@ -419,22 +402,12 @@ def count_winning(
     the quota, and subtracts them from ``2**n``; it answers 0 at once when
     the grand coalition loses.
     """
-    n = system.n
-    if engine == "auto":
-        engine = "enum" if n <= min(cap, 16) else "dp"
-    if engine == "enum":
-        if n > cap:
-            raise InvalidInput(f"{n} players exceeds the enumeration cap of {cap}")
+    if _pick_engine(system, engine, cap) == "enum":
+        _require_enumerable(system.n, cap)
         weights, qmin = _scaled_ints(system)
-        if n <= _FOLD_MAX_N:
-            return sum(_winning_flags(weights, qmin))
-        return sum(
-            1 for mask in range(1 << n) if _mask_weight(weights, mask) >= qmin
-        )
-    if engine != "dp":
-        raise InvalidInput(f"unknown engine {engine!r} (expected enum, dp or auto)")
+        return sum(sum(winning) for _, winning in _winning_slices(weights, qmin))
     weights, qmin = _reduced_ints(system)
     if sum(weights) < qmin:
         return 0  # the grand coalition loses; no table as wide as the quota
     (sums,) = _losing_prefix_sums(weights, qmin, by_size=False)
-    return (1 << n) - sums[qmin]
+    return (1 << system.n) - sums[qmin]

@@ -24,6 +24,7 @@ from votingpower.cli import (
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_ROOT = Path(votingpower.__file__).resolve().parents[1]
+PRIMES_FROM_3 = [p for p in range(3, 200) if all(p % d for d in range(2, p))]
 
 
 def run(capsys, *argv):
@@ -94,6 +95,36 @@ class TestIndexCommand:
         )
         assert code == EXIT_DEGENERATE
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "quota, weights",
+        [
+            # a quota-wide table: MemoryError when built
+            ("1000000000000", "1000000000000,1"),
+            # 25 players over the lcm of 25 primes: too long for a list
+            ("1/2", ",".join(f"1/{p}" for p in PRIMES_FROM_3[:25])),
+        ],
+        ids=["wide-quota", "25-players-1/p"],
+    )
+    def test_oversized_dp_table_is_refused(self, capsys, quota, weights):
+        code, out, err = run(
+            capsys, "index", "--engine", "dp", "--quota", quota, "--weights", weights
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_17_players_over_mixed_denominators_enumerate(self, capsys):
+        # a scaled total past 10^8, so auto enumerates instead of building a DP row
+        denominators = ([7, 11, 13, 17, 19, 23] * 3)[:17]
+        weights = ",".join(f"{q + i}/{q}" for i, q in enumerate(denominators))
+        code, out, _ = run(
+            capsys, "index", "--quota", "12", "--weights", weights, "--format", "json"
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert len(payload["banzhaf"]["swings"]) == 17
+        assert sum(payload["banzhaf"]["swings"]) == payload["banzhaf"]["total_swings"] > 0
 
     def test_bad_rational(self, capsys):
         code, _, err = run(capsys, "index", "--quota", "3.5", "--weights", "2,1,1")

@@ -13,6 +13,7 @@ from votingpower import (
     IndexKind,
     InvalidInput,
     QuotaMode,
+    TooLarge,
     VotingSystem,
     banzhaf,
     banzhaf_dp,
@@ -151,30 +152,24 @@ class TestOracleAgreement:
             assert count_winning(s, "enum") == expected
             assert count_winning(s, "dp") == expected
 
-    def test_streamed_enumeration_matches_brute(self, small_batch, monkeypatch):
-        monkeypatch.setattr(indices, "_FOLD_MAX_N", 0)  # the only path above 20 players
+    def test_sliced_fold_matches_brute(self, small_batch, monkeypatch):
+        # a 3-player block splits every game of 4 or more players into slices
+        monkeypatch.setattr(indices, "_BLOCK_BITS", 3)
         for s in small_batch:
-            assert count_winning(s, "enum") == brute_count_winning(s)
-            if brute_count_winning(s) == 0:
+            winning = brute_count_winning(s)
+            assert count_winning(s, "enum") == winning
+            if winning == 0:
                 continue
             assert list(banzhaf_enum(s)[0].per_player) == brute_swing_counts(s)
             assert list(ss_enum_subsets(s).values) == brute_ss_subsets(s)
 
-
-class TestChunking:
-    def test_chunk_counts_agree(self, monkeypatch):
-        s = VotingSystem(
-            quota=20, mode=QuotaMode.MEETS_OR_EXCEEDS, weights=(9, 7, 6, 5, 4, 3, 2, 1)
-        )
-        baseline_swings, baseline = banzhaf_enum(s)
-        ss_baseline = ss_enum_subsets(s)
-        # chunks split the streamed mask range, which runs above 20 players
-        monkeypatch.setattr(indices, "_FOLD_MAX_N", 0)
-        for chunks in (1, 2, 5, 64, 1000):
-            swings, vec = banzhaf_enum(s, chunks=chunks)
-            assert swings == baseline_swings and vec == baseline
-        for chunks in (1, 2, 5, 64):
-            assert ss_enum_subsets(s, chunks=chunks) == ss_baseline
+    def test_sliced_fold_matches_dp_at_21_players(self):
+        # two slices of 2**20 masks; the player above the block weighs 8
+        weights = (9, 7, 6, 5, 5, 4, 3, 3, 2, 2, 2, 1, 1, 1, 1, 1, 0, 3, 2, 1, 8)
+        s = _system(33, weights, QuotaMode.STRICTLY_EXCEEDS)
+        assert count_winning(s, "enum") == count_winning(s, "dp")
+        assert banzhaf_enum(s) == banzhaf_dp(s)
+        assert ss_enum_subsets(s) == ss_dp(s)
 
 
 class TestCapsAndErrors:
@@ -229,6 +224,14 @@ class TestCapsAndErrors:
                 banzhaf_dp(s)
             with pytest.raises(DegenerateSystem):
                 ss_dp(s)
+
+    def test_oversized_dp_table_is_refused_and_auto_enumerates(self):
+        # 10 size rows of 850000 cells: over the DP's budget of 2**23
+        s = _system(850_000, range(90_001, 90_011))
+        with pytest.raises(TooLarge):
+            ss_dp(s)
+        assert shapley_shubik(s) == ss_enum_subsets(s)
+        assert banzhaf(s) == banzhaf_enum(s)
 
     def test_strict_mode_at_exact_total(self):
         s = VotingSystem(quota=3, mode=QuotaMode.STRICTLY_EXCEEDS, weights=(2, 1))
