@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from votingpower import (
+    DivisorSystem,
     InvalidInput,
     InvariantViolation,
     PreconditionFailed,
@@ -92,12 +93,61 @@ class TestCasePrediction:
             case_prediction(divisor_system(24))  # excess 12
         with pytest.raises(UnsupportedCase):
             case_prediction(divisor_system(8))  # deficient, excess -1
+        for excess in (6, 7):
+            with pytest.raises(UnsupportedCase):
+                case_prediction(_shaped_system(100, excess, 12))
 
     def test_parity_split(self):
         assert case_prediction(divisor_system(12)).parity == "even"  # excess 4
-        # no odd witness with excess 4 or 5 exists below 1000; parity handling
-        # is still exercised through the formula table itself
         assert case_prediction(divisor_system(18)).parity == "any"  # excess 3
+
+    # No n <= 1000 has excess 1 or 5 and no odd one excess 4, so each catalog
+    # entry is pinned on a system shaped to reach it: case_prediction reads
+    # only the parity of n, the excess and the divisor count.
+    @pytest.mark.parametrize(
+        "n, excess, d, parity, forms, mid_includes_one",
+        [
+            (101, 0, 5, "any", ((15, 19), (4, 5), (1, 19), (1, 20), (1, 19), (1, 20)), True),
+            (100, 0, 12, "any",
+             ((2047, 2058), (11, 12), (1, 2058), (1, 132), (1, 2058), (1, 132)), True),
+            (101, 1, 5, "any", (None, None, (1, 11), (1, 10), None, None), False),
+            (100, 1, 12, "any", (None, None, (1, 1034), (1, 66), None, None), False),
+            (101, 2, 5, "any", (None, None, None, None, (1, 23), (1, 20)), False),
+            (100, 2, 12, "any", (None, None, None, None, (1, 2076), (1, 132)), False),
+            (101, 3, 5, "any", (None, None, (1, 6), (1, 6), None, None), False),
+            (100, 3, 12, "any", (None, None, (1, 521), (1, 55), None, None), False),
+            (100, 4, 5, "even", (None, None, None, None, (1, 25), (1, 30)), False),
+            (100, 4, 12, "even", (None, None, None, None, (1, 2092), (1, 660)), False),
+            (101, 4, 5, "odd", (None, None, (4, 25), (1, 2), None, None), False),
+            (101, 4, 12, "odd", (None, None, (4, 2085), (2, 11), None, None), False),
+            (100, 5, 5, "even", (None, None, None, None, (1, 24), (1, 30)), False),
+            (100, 5, 12, "even", (None, None, None, None, (1, 2091), (1, 660)), False),
+            (101, 5, 5, "odd", (None, None, (2, 11), (1, 2), None, None), False),
+            (101, 5, 12, "odd", (None, None, (2, 1041), (2, 11), None, None), False),
+        ],
+    )
+    def test_every_catalog_entry(self, n, excess, d, parity, forms, mid_includes_one):
+        pred = case_prediction(_shaped_system(n, excess, d))
+        assert pred.excess == excess and pred.parity == parity
+        assert pred.mid_includes_one is mid_includes_one
+        got = (
+            pred.top_banzhaf, pred.top_ss,
+            pred.mid_banzhaf, pred.mid_ss,
+            pred.one_banzhaf, pred.one_ss,
+        )
+        assert got == tuple(None if f is None else Fraction(*f) for f in forms)
+
+
+def _shaped_system(n: int, excess: int, d: int) -> DivisorSystem:
+    """A divisor system with the given ``n``, excess and divisor count, whatever
+    the true divisors of ``n``."""
+    return DivisorSystem(
+        n=n,
+        system=divisor_system(6).system,
+        divisors=tuple(range(d, 0, -1)),
+        sigma=2 * n + excess,
+        excess=excess,
+    )
 
 
 class TestDisagreementReports:
