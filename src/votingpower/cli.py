@@ -10,11 +10,12 @@ Subcommands:
 * ``family`` — closed-form analysis of the one-heavy and two-heavy weight
   families: evaluate, solve for all fixed points, or gate-check the
   parametric constructions.
-* ``verify`` — re-derive the package's catalog of claims from scratch and
-  report PASS/FAIL per check.
+* ``verify`` — run the claim suites of `votingpower.claims`, which re-derive
+  the paper's claims from scratch, and report PASS/FAIL per check.
 
 Exit codes: 0 success, 1 a verified check failed, 2 bad usage, malformed
-input or a table over its budget, 3 the requested system is degenerate.
+input, an ``--out`` file that cannot be written or a table over its budget,
+3 the requested system is degenerate.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
+from .claims import SUITES
 from .core import (
     IndexKind,
     QuotaMode,
@@ -36,14 +37,7 @@ from .core import (
     parse_rational,
     scale_to_integers,
 )
-from .divisor import (
-    DisagreementReport,
-    compare_prime_multiples,
-    disagreement_report,
-    scan_abundant,
-    sigma_range,
-    write_scan_report,
-)
+from .divisor import DisagreementReport, disagreement_report, scan_abundant, write_scan_report
 from .errors import (
     DegenerateSystem,
     InvalidCoalition,
@@ -55,7 +49,6 @@ from .errors import (
 from .fixedpoint import (
     FixedPoint,
     Cycle,
-    MaxIterations,
     aab_fixed_point_classes,
     aab_fixed_points,
     aab_heavy_ss_power,
@@ -63,7 +56,6 @@ from .fixedpoint import (
     ab_family_point,
     ab_fixed_points,
     ab_heavy_ss_power,
-    ab_joint_banzhaf_fixed,
     is_fixed_point,
     iterate,
     trace_to_dict,
@@ -198,7 +190,11 @@ def cmd_divisor(args: argparse.Namespace) -> int:
         if args.report:
             reports = (disagreement_report(n) for n, _, _ in triples)
             if args.out:
-                with open(args.out, "w", newline="") as stream:
+                try:
+                    stream = open(args.out, "w", newline="")
+                except OSError as exc:
+                    raise InvalidInput(f"cannot write {args.out}: {exc.strerror}") from exc
+                with stream:
                     write_scan_report(reports, stream)
             else:
                 write_scan_report(reports, sys.stdout)
@@ -442,278 +438,13 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify: re-derive the claims catalog.
+# verify
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Check:
-    name: str
-    status: str  # PASS, FAIL or FINDING
-    detail: str
-
-
-def _check(name: str, ok: bool, detail: str) -> Check:
-    return Check(name, "PASS" if ok else "FAIL", detail)
-
-
-#: Known index values for the smallest perfect-number systems, as exact text.
-PERFECT_TOP_VALUES = {
-    6: ("7/10", "3/4"),
-    28: ("31/36", "5/6"),
-    496: ("511/520", "9/10"),
-}
-
-#: Abundant numbers up to 1000 grouped by excess sigma(n) - 2n, for 0..5.
-EXPECTED_WITNESSES = {
-    0: (6, 28, 496),
-    1: (),
-    2: (20, 104, 464, 650),
-    3: (18,),
-    4: (12, 70, 88),
-    5: (),
-}
-
-#: All two-heavy fixed points off the integer boundary, by light count.
-TWO_HEAVY_SOLUTIONS = {
-    2: ("1/3",),
-    3: ("2/15",),
-    4: ("2/15", "1/5"),
-    5: ("3/35", "11/105"),
-    6: ("3/28", "1/7"),
-    7: ("4/63", "11/126"),
-    8: ("13/180", "4/45", "1/9"),
-    9: ("5/99", "31/495", "37/495"),
-    10: ("7/110", "5/66", "1/11"),
-}
-
-
-def _suite_perfect(limit: int) -> list[Check]:
-    checks = []
-    for n, (top_bz, top_ss) in PERFECT_TOP_VALUES.items():
-        report = disagreement_report(n)
-        checks.append(
-            _check(
-                f"perfect n={n} formulas",
-                report.formula_match is True,
-                "engine output matches every closed form"
-                if report.formula_match
-                else "; ".join(report.formula_notes),
-            )
-        )
-        got = (
-            format_rational(report.banzhaf.values[0]),
-            format_rational(report.ss.values[0]),
-        )
-        checks.append(
-            _check(
-                f"perfect n={n} top seat",
-                got == (top_bz, top_ss),
-                f"banzhaf {got[0]} (want {top_bz}), shapley-shubik {got[1]} (want {top_ss})",
-            )
-        )
-        checks.append(
-            _check(
-                f"perfect n={n} indices differ",
-                len(report.witnesses) > 0,
-                f"witness seats: {list(report.witnesses)}",
-            )
-        )
-    return checks
-
-
-def _small_excess_witnesses(limit: int) -> dict[int, list[int]]:
-    sig = sigma_range(limit)
-    found: dict[int, list[int]] = {k: [] for k in range(6)}
-    for n in range(2, limit + 1):
-        k = sig[n - 1] - 2 * n
-        if 0 <= k <= 5:
-            found[k].append(n)
-    return found
-
-
-def _suite_census(limit: int) -> list[Check]:
-    checks = []
-    scan = {n for n, _, _ in scan_abundant(min(limit, 100), 6)}
-    checks.append(
-        _check(
-            "abundant n<=100 with 6 divisors",
-            scan == {12, 18, 20},
-            f"found {sorted(scan)}",
-        )
-    )
-    checks.append(
-        Check(
-            "abundant n<=100 with 6 divisors",
-            "FINDING",
-            "three such numbers exist (12, 18 and 20), not just 20",
-        )
-    )
-    found = _small_excess_witnesses(limit)
-    for k in range(6):
-        expected = [n for n in EXPECTED_WITNESSES[k] if n <= limit]
-        checks.append(
-            _check(
-                f"excess={k} witnesses up to {limit}",
-                found[k] == expected,
-                f"found {found[k]}",
-            )
-        )
-    return checks
-
-
-def _suite_small_excess_disagreement(limit: int) -> list[Check]:
-    checks = []
-    for k, ns in sorted(_small_excess_witnesses(limit).items()):
-        for n in ns:
-            report = disagreement_report(n)
-            checks.append(
-                _check(
-                    f"n={n} (excess {k}) indices differ",
-                    len(report.witnesses) > 0,
-                    f"witness seats: {list(report.witnesses)}",
-                )
-            )
-            if report.formula_match is not None:
-                verdict = (
-                    "closed forms confirmed"
-                    if report.formula_match
-                    else "closed forms do not all hold here: "
-                    + "; ".join(
-                        note for note in report.formula_notes if "differs" in note
-                    )
-                )
-                checks.append(Check(f"n={n} (excess {k}) catalog", "FINDING", verdict))
-    return checks
-
-
-def _suite_prime_multiples(
-    n: int | None = None, p: int = 31, q: int = 37
-) -> list[Check]:
-    bases = (n,) if n is not None else (6, 12)
-    checks = []
-    for base in bases:
-        cmp = compare_prime_multiples(base, p, q)
-        checks.append(
-            _check(
-                f"winning counts {base}*{p} vs {base}*{q}",
-                cmp.equal,
-                f"{cmp.count_p} vs {cmp.count_q}",
-            )
-        )
-    for base in bases:
-        rp = disagreement_report(base * p)
-        rq = disagreement_report(base * q)
-        checks.append(
-            _check(
-                f"index vectors {base}*{p} vs {base}*{q}",
-                rp.banzhaf.values == rq.banzhaf.values
-                and rp.ss.values == rq.ss.values,
-                "both index vectors identical seat-by-seat",
-            )
-        )
-    return checks
-
-
-def _suite_two_heavy_tables() -> list[Check]:
-    checks = []
-    for m, expected_text in sorted(TWO_HEAVY_SOLUTIONS.items()):
-        expected = [Fraction(t) for t in expected_text]
-        got = aab_fixed_points(m)
-        checks.append(
-            _check(
-                f"two-heavy solutions m={m}",
-                got == sorted(expected),
-                f"solver found {{{', '.join(_fmt(got))}}}",
-            )
-        )
-        certified = all(
-            is_fixed_point(
-                ((1 - m * b) / 2, (1 - m * b) / 2) + (b,) * m,
-                IndexKind.SHAPLEY_SHUBIK,
-            )
-            for b in got
-        )
-        checks.append(
-            _check(
-                f"two-heavy solutions m={m} engine-certified",
-                certified,
-                "every solution confirmed by exact dynamic programming",
-            )
-        )
-    for k in (1, 2, 3, 4, 5):
-        for parity in ("even", "odd"):
-            m = 2 * k if parity == "even" else 2 * k + 1
-            if m > 10:
-                continue
-            for spec in aab_fixed_point_classes(k, parity):
-                if spec.valid:
-                    ok = spec.light_weight in aab_fixed_points(m)
-                    checks.append(
-                        _check(
-                            f"class point m={m} b={spec.light_weight}",
-                            ok,
-                            "closed-form class member appears in the solved set",
-                        )
-                    )
-                else:
-                    checks.append(
-                        Check(
-                            f"class point m={m} b={spec.light_weight}",
-                            "FINDING",
-                            f"gate fails: {spec.reason}",
-                        )
-                    )
-    return checks
-
-
-def _suite_joint_banzhaf(kmax: int = 8) -> list[Check]:
-    checks = []
-    for k in range(3, kmax + 1):
-        ok = ab_joint_banzhaf_fixed(k, 1, "odd")
-        checks.append(
-            _check(
-                f"one-heavy odd k={k} c=1 banzhaf-fixed",
-                ok,
-                "light banzhaf index equals the light weight exactly",
-            )
-        )
-    for k in range(3, kmax + 1):
-        bad = [c for c in range(2, k) if ab_joint_banzhaf_fixed(k, c, "odd")]
-        checks.append(
-            _check(
-                f"one-heavy odd k={k} c>=2 never banzhaf-fixed",
-                not bad,
-                "no offset beyond 1 keeps the banzhaf index at the weights",
-            )
-        )
-    for k in range(2, kmax + 1):
-        bad = [c for c in range(1, k) if ab_joint_banzhaf_fixed(k, c, "even")]
-        checks.append(
-            _check(
-                f"one-heavy even k={k} never banzhaf-fixed",
-                not bad,
-                "no even-size point keeps the banzhaf index at the weights",
-            )
-        )
-    return checks
-
-
-SUITES: dict[str, Callable[[argparse.Namespace], list[Check]]] = {
-    "prop21": lambda args: _suite_perfect(args.limit),
-    "prop22census": lambda args: _suite_census(args.limit),
-    "prop24": lambda args: _suite_prime_multiples(args.n, args.p, args.m),
-    "conj23": lambda args: _suite_small_excess_disagreement(args.limit),
-    "tables32": lambda args: _suite_two_heavy_tables(),
-    "sec33": lambda args: _suite_joint_banzhaf(),
-}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    checks: list[Check] = []
-    for name in names:
-        checks.extend(SUITES[name](args))
+    checks = [check for name in names for check in SUITES[name](args)]
     if args.format == "json":
         print(
             json.dumps(

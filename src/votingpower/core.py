@@ -142,6 +142,14 @@ def is_winning(system: VotingSystem, coalition: Iterable[int]) -> bool:
     return system.passes(coalition_weight(system, coalition))
 
 
+def critical_players(system: VotingSystem, coalition: Coalition) -> tuple[int, ...]:
+    """Members whose departure turns the given winning coalition losing."""
+    total = coalition_weight(system, coalition)
+    if not system.passes(total):
+        return ()
+    return tuple(i for i in sorted(coalition) if not system.passes(total - system.weights[i]))
+
+
 @dataclass(frozen=True)
 class ScaledSystem:
     """Integer form of a system: weights and doubled quota share one scale factor."""

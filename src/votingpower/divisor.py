@@ -7,9 +7,11 @@ meets-or-exceeds rule (equivalently: strictly more than half the total).
 
 For small abundance excess ``k = sigma(n) - 2n`` (0 through 5) the Banzhaf
 and Shapley-Shubik indices of whole player classes collapse to closed forms
-in the divisor count alone.  `case_prediction` returns those closed forms and
-`disagreement_report` checks them against the exact engines, recording every
-player where the two indices differ.
+in the divisor count alone (and, at excess 4 and 5, the parity of ``n``).
+They are written once, as a table keyed by excess and parity;
+`case_prediction` evaluates the entry for a system, and `disagreement_report`
+checks it against the exact engines, recording every player where the two
+indices differ.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
-from .core import Coalition, IndexVector, QuotaMode, VotingSystem
+from .core import IndexVector, QuotaMode, VotingSystem
 from .errors import InvalidInput, InvariantViolation, PreconditionFailed, UnsupportedCase
 from .indices import banzhaf_dp, count_winning, ss_dp
 
@@ -104,13 +105,51 @@ class CasePrediction:
 
     excess: int
     parity: str  # "any", "even" or "odd" (parity of n)
-    top_banzhaf: Fraction | None
-    top_ss: Fraction | None
-    mid_banzhaf: Fraction | None
-    mid_ss: Fraction | None
-    one_banzhaf: Fraction | None
-    one_ss: Fraction | None
-    mid_includes_one: bool
+    top_banzhaf: Fraction | None = None
+    top_ss: Fraction | None = None
+    mid_banzhaf: Fraction | None = None
+    mid_ss: Fraction | None = None
+    one_banzhaf: Fraction | None = None
+    one_ss: Fraction | None = None
+    mid_includes_one: bool = False
+
+
+#: The closed-form catalog, keyed by ``(excess, parity of n)``; the parity is
+#: "any" where the forms do not depend on it.  Each entry gives, from the
+#: divisor count ``d`` and ``t = 2**(d-1)``, the `CasePrediction` fields of
+#: the classes it makes a claim about.
+_CATALOG: dict[tuple[int, str], Callable[[int, int], dict]] = {
+    (0, "any"): lambda d, t: dict(
+        top_banzhaf=Fraction(t - 1, t + d - 2),
+        top_ss=Fraction(d - 1, d),
+        mid_banzhaf=Fraction(1, t + d - 2),
+        mid_ss=Fraction(1, d * (d - 1)),
+        one_banzhaf=Fraction(1, t + d - 2),
+        one_ss=Fraction(1, d * (d - 1)),
+        mid_includes_one=True,
+    ),
+    (1, "any"): lambda d, t: dict(
+        mid_banzhaf=Fraction(2, t + 2 * (d - 2)), mid_ss=Fraction(2, d * (d - 1))
+    ),
+    (2, "any"): lambda d, t: dict(
+        one_banzhaf=Fraction(1, t + 3 * (d - 2) - 2), one_ss=Fraction(1, d * (d - 1))
+    ),
+    (3, "any"): lambda d, t: dict(
+        mid_banzhaf=Fraction(4, t + 4 * (d - 2) - 4), mid_ss=Fraction(2, (d - 1) * (d - 2))
+    ),
+    (4, "even"): lambda d, t: dict(
+        one_banzhaf=Fraction(1, t + 5 * (d - 3) - 1), one_ss=Fraction(2, d * (d - 1) * (d - 2))
+    ),
+    (4, "odd"): lambda d, t: dict(
+        mid_banzhaf=Fraction(4, t + 4 * (d - 2) - 3), mid_ss=Fraction(2, d - 1)
+    ),
+    (5, "even"): lambda d, t: dict(
+        one_banzhaf=Fraction(1, t + 5 * (d - 3) - 2), one_ss=Fraction(2, d * (d - 1) * (d - 2))
+    ),
+    (5, "odd"): lambda d, t: dict(
+        mid_banzhaf=Fraction(4, t + 4 * (d - 2) - 6), mid_ss=Fraction(2, d - 1)
+    ),
+}
 
 
 def case_prediction(ds: DivisorSystem) -> CasePrediction:
@@ -121,103 +160,10 @@ def case_prediction(ds: DivisorSystem) -> CasePrediction:
     cataloged range.
     """
     k, d = ds.excess, ds.player_count
-    two = 1 << (d - 1)
-    if k == 0:
-        return CasePrediction(
-            excess=0,
-            parity="any",
-            top_banzhaf=Fraction(two - 1, two + d - 2),
-            top_ss=Fraction(factorial(d) - factorial(d - 1), factorial(d)),
-            mid_banzhaf=Fraction(1, two + d - 2),
-            mid_ss=Fraction(1, d * (d - 1)),
-            one_banzhaf=Fraction(1, two + d - 2),
-            one_ss=Fraction(1, d * (d - 1)),
-            mid_includes_one=True,
-        )
-    if k == 1:
-        return CasePrediction(
-            excess=1,
-            parity="any",
-            top_banzhaf=None,
-            top_ss=None,
-            mid_banzhaf=Fraction(2, two + 2 * (d - 2)),
-            mid_ss=Fraction(2, d * (d - 1)),
-            one_banzhaf=None,
-            one_ss=None,
-            mid_includes_one=False,
-        )
-    if k == 2:
-        return CasePrediction(
-            excess=2,
-            parity="any",
-            top_banzhaf=None,
-            top_ss=None,
-            mid_banzhaf=None,
-            mid_ss=None,
-            one_banzhaf=Fraction(1, two + 3 * (d - 2) - 2),
-            one_ss=Fraction(1, d * (d - 1)),
-            mid_includes_one=False,
-        )
-    if k == 3:
-        return CasePrediction(
-            excess=3,
-            parity="any",
-            top_banzhaf=None,
-            top_ss=None,
-            mid_banzhaf=Fraction(4, two + 4 * (d - 2) - 4),
-            mid_ss=Fraction(2, (d - 1) * (d - 2)),
-            one_banzhaf=None,
-            one_ss=None,
-            mid_includes_one=False,
-        )
-    if k == 4:
-        if ds.n % 2 == 0:
-            return CasePrediction(
-                excess=4,
-                parity="even",
-                top_banzhaf=None,
-                top_ss=None,
-                mid_banzhaf=None,
-                mid_ss=None,
-                one_banzhaf=Fraction(1, two + 5 * (d - 3) - 1),
-                one_ss=Fraction(2, d * (d - 1) * (d - 2)),
-                mid_includes_one=False,
-            )
-        return CasePrediction(
-            excess=4,
-            parity="odd",
-            top_banzhaf=None,
-            top_ss=None,
-            mid_banzhaf=Fraction(4, two + 4 * (d - 2) - 3),
-            mid_ss=Fraction(2, d - 1),
-            one_banzhaf=None,
-            one_ss=None,
-            mid_includes_one=False,
-        )
-    if k == 5:
-        if ds.n % 2 == 0:
-            return CasePrediction(
-                excess=5,
-                parity="even",
-                top_banzhaf=None,
-                top_ss=None,
-                mid_banzhaf=None,
-                mid_ss=None,
-                one_banzhaf=Fraction(1, two + 5 * (d - 3) - 2),
-                one_ss=Fraction(2, d * (d - 1) * (d - 2)),
-                mid_includes_one=False,
-            )
-        return CasePrediction(
-            excess=5,
-            parity="odd",
-            top_banzhaf=None,
-            top_ss=None,
-            mid_banzhaf=Fraction(4, two + 4 * (d - 2) - 6),
-            mid_ss=Fraction(2, d - 1),
-            one_banzhaf=None,
-            one_ss=None,
-            mid_includes_one=False,
-        )
+    for parity in ("any", "odd" if ds.n % 2 else "even"):
+        forms = _CATALOG.get((k, parity))
+        if forms is not None:
+            return CasePrediction(excess=k, parity=parity, **forms(d, 1 << (d - 1)))
     raise UnsupportedCase(f"no closed-form catalog for excess {k} (supported: 0..5)")
 
 
@@ -287,26 +233,18 @@ def disagreement_report(n: int) -> DisagreementReport:
     try:
         pred = case_prediction(ds)
     except UnsupportedCase:
-        return DisagreementReport(
-            game=ds,
-            banzhaf=bz,
-            ss=ss,
-            witnesses=witnesses,
-            prediction=None,
-            formula_notes=(),
-            formula_match=None,
-        )
-
-    d = ds.player_count
-    mid_stop = d if pred.mid_includes_one else d - 1
+        pred = None
     notes: list[str] = []
     matches: list[bool] = []
-    _check_class("top banzhaf", [0], bz, pred.top_banzhaf, notes, matches)
-    _check_class("top shapley-shubik", [0], ss, pred.top_ss, notes, matches)
-    _check_class("mid banzhaf", range(1, mid_stop), bz, pred.mid_banzhaf, notes, matches)
-    _check_class("mid shapley-shubik", range(1, mid_stop), ss, pred.mid_ss, notes, matches)
-    _check_class("one banzhaf", [d - 1], bz, pred.one_banzhaf, notes, matches)
-    _check_class("one shapley-shubik", [d - 1], ss, pred.one_ss, notes, matches)
+    if pred is not None:
+        d = ds.player_count
+        mid = range(1, d if pred.mid_includes_one else d - 1)
+        _check_class("top banzhaf", [0], bz, pred.top_banzhaf, notes, matches)
+        _check_class("top shapley-shubik", [0], ss, pred.top_ss, notes, matches)
+        _check_class("mid banzhaf", mid, bz, pred.mid_banzhaf, notes, matches)
+        _check_class("mid shapley-shubik", mid, ss, pred.mid_ss, notes, matches)
+        _check_class("one banzhaf", [d - 1], bz, pred.one_banzhaf, notes, matches)
+        _check_class("one shapley-shubik", [d - 1], ss, pred.one_ss, notes, matches)
     return DisagreementReport(
         game=ds,
         banzhaf=bz,
@@ -438,39 +376,3 @@ def write_scan_report(reports: Iterable[DisagreementReport], stream: IO[str]) ->
     writer.writeheader()
     for report in reports:
         writer.writerow(report_csv_row(report))
-
-
-def critical_players(system: VotingSystem, coalition: Coalition) -> tuple[int, ...]:
-    """Members whose departure turns the given winning coalition losing."""
-    from .core import coalition_weight, is_winning
-
-    if not is_winning(system, coalition):
-        return ()
-    total = coalition_weight(system, coalition)
-    out = []
-    for i in sorted(coalition):
-        if not system.passes(total - system.weights[i]):
-            out.append(i)
-    return tuple(out)
-
-
-__all__ = [
-    "CasePrediction",
-    "DisagreementReport",
-    "DivisorSystem",
-    "PrimeMultipleComparison",
-    "SCAN_CSV_COLUMNS",
-    "abundance_class",
-    "case_prediction",
-    "compare_prime_multiples",
-    "count_winning",
-    "critical_players",
-    "disagreement_report",
-    "divisor_system",
-    "divisors_of",
-    "report_csv_row",
-    "scan_abundant",
-    "sigma_of",
-    "sigma_range",
-    "write_scan_report",
-]

@@ -51,9 +51,13 @@ def _comb0(n: int, k: int) -> int:
     return comb(n, k) if 0 <= k <= n else 0
 
 
-def _check_family_args(m: int, b) -> Fraction:
+def _check_light_count(m: int) -> None:
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise InvalidFamily(f"light-player count must be a positive integer, got {m!r}")
+
+
+def _check_family_args(m: int, b) -> Fraction:
+    _check_light_count(m)
     b = to_rational(b)
     if b <= 0:
         raise InvalidFamily(f"light weight must be positive, got {b}")
@@ -62,6 +66,17 @@ def _check_family_args(m: int, b) -> Fraction:
             f"light weights must leave positive heavy weight: m*b = {m * b} >= 1"
         )
     return b
+
+
+def _floor_gate(b: Fraction, want_floor: int) -> str:
+    """Why a branch formula for ``floor(1/(2b)) == want_floor`` fails at
+    ``b``, or "" when that floor holds and ``1/(2b)`` is not an integer."""
+    half = Fraction(1, 2) / b
+    if half.denominator == 1:
+        return f"1/(2b) = {half} is an integer"
+    if floor(half) != want_floor:
+        return f"floor(1/(2b)) = {floor(half)}, construction needs {want_floor}"
+    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +181,7 @@ def ab_family_point(k: int, c: int, parity: str) -> FamilySpec:
         raise InvalidFamily(f"parity must be 'odd' or 'even', got {parity!r}")
     if a != 1 - m * b:
         raise InvariantViolation(f"heavy weight {a} is not 1 - {m}*{b}")
-
-    half = Fraction(1, 2) / b
-    if half.denominator == 1:
-        valid, reason = False, f"1/(2b) = {half} is an integer"
-    elif floor(half) != want_floor:
-        valid, reason = False, (
-            f"floor(1/(2b)) = {floor(half)}, construction needs {want_floor}"
-        )
-    else:
-        valid, reason = True, ""
+    reason = _floor_gate(b, want_floor)
     return FamilySpec(
         shape="ab",
         m=m,
@@ -183,7 +189,7 @@ def ab_family_point(k: int, c: int, parity: str) -> FamilySpec:
         offset=c,
         heavy_weight=a,
         light_weight=b,
-        valid=valid,
+        valid=not reason,
         reason=reason,
     )
 
@@ -196,8 +202,7 @@ def ab_fixed_points(m: int) -> list[Fraction]:
     yields one linear equation for ``b``; integer values of ``1/(2b)`` form
     their own branches.  Degenerate solutions with ``a = 0`` are dropped.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise InvalidFamily(f"light-player count must be a positive integer, got {m!r}")
+    _check_light_count(m)
     found: set[Fraction] = set()
 
     # Branch 1: 1/(2b) strictly between f and f+1.
@@ -206,8 +211,7 @@ def ab_fixed_points(m: int) -> list[Fraction]:
         b = (1 - Fraction(count, m + 1)) / m
         if b <= 0 or m * b >= 1:
             continue
-        half = Fraction(1, 2) / b
-        if half.denominator != 1 and floor(half) == f:
+        if not _floor_gate(b, f):
             found.add(b)
 
     # Branch 2: 1/(2b) = t exactly.
@@ -277,16 +281,14 @@ def aab_fixed_points(m: int) -> list[Fraction]:
     be confirmed with `is_fixed_point`).  The all-equal solution ``a == b``
     is dropped as trivial.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise InvalidFamily(f"light-player count must be a positive integer, got {m!r}")
+    _check_light_count(m)
     found: set[Fraction] = set()
     for f in range(max(1, m // 2), m + 3):
         power = _aab_power_given_floor(m, f)
         b = (1 - 2 * power) / m
         if b <= 0 or m * b >= 1:
             continue
-        half = Fraction(1, 2) / b
-        if half.denominator == 1 or floor(half) != f:
+        if _floor_gate(b, f):
             continue
         if power == b:  # a == b: the uninformative all-equal point
             continue
@@ -320,17 +322,9 @@ def aab_fixed_point_classes(k: int, parity: str) -> list[FamilySpec]:
     out = []
     for b, want_floor in candidates:
         a = (1 - m * b) / 2
-        half = Fraction(1, 2) / b
-        if half.denominator == 1:
-            valid, reason = False, f"1/(2b) = {half} is an integer"
-        elif floor(half) != want_floor:
-            valid, reason = False, (
-                f"floor(1/(2b)) = {floor(half)}, construction needs {want_floor}"
-            )
-        elif _aab_power_given_floor(m, want_floor) != a:
-            valid, reason = False, "branch share does not return the heavy weight"
-        else:
-            valid, reason = True, ""
+        reason = _floor_gate(b, want_floor)
+        if not reason and _aab_power_given_floor(m, want_floor) != a:
+            reason = "branch share does not return the heavy weight"
         out.append(
             FamilySpec(
                 shape="aab",
@@ -339,7 +333,7 @@ def aab_fixed_point_classes(k: int, parity: str) -> list[FamilySpec]:
                 offset=None,
                 heavy_weight=a,
                 light_weight=b,
-                valid=valid,
+                valid=not reason,
                 reason=reason,
             )
         )

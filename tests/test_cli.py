@@ -13,18 +13,30 @@ import pytest
 
 import votingpower
 from votingpower import SCAN_CSV_COLUMNS, FixedPoint, trace_from_json
-from votingpower.cli import (
-    EXIT_CHECK_FAILED,
-    EXIT_DEGENERATE,
-    EXIT_OK,
-    EXIT_USAGE,
-    SUITES,
-    main,
-)
+from votingpower.claims import SUITES
+from votingpower.cli import EXIT_CHECK_FAILED, EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_ROOT = Path(votingpower.__file__).resolve().parents[1]
 PRIMES_FROM_3 = [p for p in range(3, 200) if all(p % d for d in range(2, p))]
+ADDRESS_SPACE_CAP = 1 << 30
+
+OVERSIZED_DP_GAMES = pytest.mark.parametrize(
+    "quota, weights",
+    [
+        # a quota-wide table: MemoryError when built
+        ("1000000000000", "1000000000000,1"),
+        # 25 players over the lcm of 25 primes: too long for a list
+        ("1/2", ",".join(f"1/{p}" for p in PRIMES_FROM_3[:25])),
+    ],
+    ids=["wide-quota", "25-players-1/p"],
+)
+
+# 17 players with a scaled total past 10^8, so auto enumerates instead of
+# building a DP row
+MIXED_17_WEIGHTS = ",".join(
+    f"{q + i}/{q}" for i, q in enumerate(([7, 11, 13, 17, 19, 23] * 3)[:17])
+)
 
 
 def run(capsys, *argv):
@@ -96,16 +108,7 @@ class TestIndexCommand:
         assert code == EXIT_DEGENERATE
         assert "error:" in err
 
-    @pytest.mark.parametrize(
-        "quota, weights",
-        [
-            # a quota-wide table: MemoryError when built
-            ("1000000000000", "1000000000000,1"),
-            # 25 players over the lcm of 25 primes: too long for a list
-            ("1/2", ",".join(f"1/{p}" for p in PRIMES_FROM_3[:25])),
-        ],
-        ids=["wide-quota", "25-players-1/p"],
-    )
+    @OVERSIZED_DP_GAMES
     def test_oversized_dp_table_is_refused(self, capsys, quota, weights):
         code, out, err = run(
             capsys, "index", "--engine", "dp", "--quota", quota, "--weights", weights
@@ -114,17 +117,28 @@ class TestIndexCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @OVERSIZED_DP_GAMES
+    def test_oversized_dp_table_is_refused_under_a_memory_cap(self, quota, weights):
+        child = _run_capped("index", "--engine", "dp", "--quota", quota, "--weights", weights)
+        assert child.returncode == EXIT_USAGE and child.stdout == ""
+        assert child.stderr.startswith("error:") and child.stderr.count("\n") == 1
+        assert "Traceback" not in child.stderr
+
     def test_17_players_over_mixed_denominators_enumerate(self, capsys):
-        # a scaled total past 10^8, so auto enumerates instead of building a DP row
-        denominators = ([7, 11, 13, 17, 19, 23] * 3)[:17]
-        weights = ",".join(f"{q + i}/{q}" for i, q in enumerate(denominators))
         code, out, _ = run(
-            capsys, "index", "--quota", "12", "--weights", weights, "--format", "json"
+            capsys, "index", "--quota", "12", "--weights", MIXED_17_WEIGHTS, "--format", "json"
         )
         assert code == EXIT_OK
         payload = json.loads(out)
         assert len(payload["banzhaf"]["swings"]) == 17
         assert sum(payload["banzhaf"]["swings"]) == payload["banzhaf"]["total_swings"] > 0
+
+    def test_17_players_over_mixed_denominators_enumerate_under_a_memory_cap(self):
+        child = _run_capped(
+            "index", "--quota", "12", "--weights", MIXED_17_WEIGHTS, "--format", "json"
+        )
+        assert child.returncode == EXIT_OK, child.stderr
+        assert len(json.loads(child.stdout)["banzhaf"]["swings"]) == 17
 
     def test_bad_rational(self, capsys):
         code, _, err = run(capsys, "index", "--quota", "3.5", "--weights", "2,1,1")
@@ -209,6 +223,15 @@ class TestDivisorCommand:
         rows = list(csv.reader(target.open()))
         assert tuple(rows[0]) == SCAN_CSV_COLUMNS
         assert [r[0] for r in rows[1:]] == ["12", "18", "20", "24", "30"]
+
+    def test_scan_report_to_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "scan.csv"
+        code, out, err = run(
+            capsys, "divisor", "--scan", "30", "--report", "--out", str(target)
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not target.parent.exists()
 
     def test_n_and_scan_conflict(self, capsys):
         code, _, err = run(capsys, "divisor", "6", "--scan", "100")
@@ -487,6 +510,22 @@ def _child_env(*path_dirs):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")]))
     env["PATH"] = os.pathsep.join([*map(str, path_dirs), env.get("PATH", os.defpath)])
     return env
+
+
+def _run_capped(*argv):
+    """``python -m votingpower`` in a child that caps its address space at 1 GiB."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        if soft == resource.RLIM_INFINITY or soft > ADDRESS_SPACE_CAP:
+            soft = ADDRESS_SPACE_CAP
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    return subprocess.run(
+        [sys.executable, "-m", "votingpower", *argv],
+        capture_output=True, text=True, env=_child_env(), preexec_fn=cap, timeout=120,
+    )
 
 
 def _declared_script(name):

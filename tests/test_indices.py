@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from votingpower import (
+    DEFAULT_ENUM_CAP,
     DegenerateSystem,
     IndexKind,
     InvalidInput,
@@ -239,6 +240,45 @@ class TestCapsAndErrors:
             banzhaf_dp(s)
 
 
+def _system(quota, weights, mode=QuotaMode.MEETS_OR_EXCEEDS) -> VotingSystem:
+    return VotingSystem(quota=Fraction(quota), mode=mode, weights=tuple(map(Fraction, weights)))
+
+
+AUTO_PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+@st.composite
+def auto_games(draw) -> tuple[VotingSystem, int, str]:
+    """A game, an enumeration cap and the engine ``auto`` must pick for them.
+
+    Integer weights with a small total go to the DP.  Weights over six or
+    more distinct prime denominators, whose scaled total is past
+    ``_AUTO_DP_TOTAL_CAP``, go to enumeration; their quota is at least half
+    the total, so their DP tables are mostly over budget and refused before
+    they are built.  A game with more players than the cap goes to the DP.
+    """
+    mode = draw(st.sampled_from(tuple(QuotaMode)))
+    route = draw(st.sampled_from(("integer", "primes", "cap")))
+    if route == "primes":
+        dens = draw(st.lists(st.sampled_from(AUTO_PRIMES), min_size=6, max_size=8, unique=True))
+        weights = [Fraction(draw(st.integers(p + 1, 2 * p - 1)), p) for p in dens]
+        share = Fraction(draw(st.integers(50, 100)), 100)
+        return _system(share * sum(weights), weights, mode), DEFAULT_ENUM_CAP, "enum"
+    weights = draw(st.lists(st.integers(0, 30), min_size=1, max_size=9).filter(any))
+    s = _system(draw(st.integers(1, sum(weights))), weights, mode)
+    if route == "cap":
+        return s, draw(st.integers(0, s.n - 1)), "dp"
+    return s, DEFAULT_ENUM_CAP, "dp"
+
+
+def _outcome(index, system: VotingSystem, engine: str, cap: int):
+    """The index through one engine, or the type of the refusal it raised."""
+    try:
+        return index(system, engine, cap=cap)
+    except (DegenerateSystem, TooLarge) as exc:
+        return type(exc)
+
+
 class TestStructuralProperties:
     def test_zero_weight_player_is_dummy(self):
         s = VotingSystem(quota=2, mode=QuotaMode.MEETS_OR_EXCEEDS, weights=(2, 0, 1))
@@ -289,24 +329,25 @@ class TestStructuralProperties:
         assert banzhaf_dp(s)[1] == banzhaf_dp(scaled)[1]
         assert ss_dp(s) == ss_dp(scaled)
 
-    def test_auto_engine_agrees_with_explicit(self):
-        rng = random.Random(99)
-        for _ in range(10):
-            s = random_system(rng, max_n=10, max_weight=30)
-            try:
-                auto = banzhaf(s, "auto")[1]
-            except DegenerateSystem:
-                continue
-            assert auto == banzhaf(s, "enum")[1] == banzhaf(s, "dp")[1]
-            assert (
-                shapley_shubik(s, "auto")
-                == shapley_shubik(s, "enum")
-                == shapley_shubik(s, "dp")
-            )
-
-
-def _system(quota, weights, mode=QuotaMode.MEETS_OR_EXCEEDS) -> VotingSystem:
-    return VotingSystem(quota=Fraction(quota), mode=mode, weights=tuple(map(Fraction, weights)))
+    @settings(deadline=None, max_examples=60)
+    @given(auto_games())
+    @example((_system(3, (2, 1, 1)), DEFAULT_ENUM_CAP, "dp"))  # integer weights
+    @example(  # six prime denominators: a scaled total past 2*10**6
+        (_system(4, [Fraction(p + 1, p) for p in AUTO_PRIMES[:6]]), DEFAULT_ENUM_CAP, "enum")
+    )
+    @example((_system(3, (2, 1, 1)), 2, "dp"))  # more players than the cap
+    @example(  # a small total, but a DP table over its budget
+        (_system(850_000, range(90_001, 90_011)), DEFAULT_ENUM_CAP, "enum")
+    )
+    def test_auto_engine_agrees_with_explicit(self, game):
+        s, cap, pick = game
+        assert indices._pick_engine(s, "auto", cap) == pick
+        for index in (banzhaf, shapley_shubik, count_winning):
+            auto = _outcome(index, s, "auto", cap)
+            enum = _outcome(index, s, "enum", DEFAULT_ENUM_CAP)
+            dp = _outcome(index, s, "dp", cap)
+            assert auto == enum
+            assert dp == enum or dp is TooLarge
 
 
 @st.composite
