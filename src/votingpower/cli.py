@@ -16,6 +16,9 @@ Subcommands:
 Exit codes: 0 success, 1 a verified check failed, 2 bad usage, malformed
 input, an ``--out`` file that cannot be written or a table over its budget,
 3 the requested system is degenerate.
+
+The argument parser is built once per process, on the first `main` call, and
+reused by every later call.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .claims import SUITES
@@ -89,7 +93,7 @@ def _parse_weights(text: str) -> tuple[Fraction, ...]:
     parts = [p for p in text.replace(",", " ").split() if p]
     if not parts:
         raise InvalidInput("no weights given")
-    return tuple(parse_rational(p) for p in parts)
+    return tuple([parse_rational(p) for p in parts])
 
 
 def _fmt(values) -> list[str]:
@@ -469,6 +473,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="votingpower",

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable
 
 from .errors import DegenerateSystem, InvalidCoalition, InvalidInput
@@ -29,7 +29,6 @@ Rational = Fraction
 Coalition = frozenset
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` or ``"p"`` into an exact rational.
@@ -45,15 +44,18 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Render as ``"p/q"`` in lowest terms, or ``"p"`` when the denominator is 1."""
-    return str(Fraction(value))
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 def to_rational(value) -> Fraction:
     """Coerce an int, `Fraction`, `Decimal` or ``"p/q"`` string to `Fraction`.
 
-    Floats are refused outright: binary floats misrepresent values like 0.1,
-    and everything here is supposed to be exact.
+    A value whose type is exactly `Fraction` is returned as it is.  Floats
+    are refused outright: binary floats misrepresent values like 0.1, and
+    everything here is supposed to be exact.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise InvalidInput(
             f"refusing float {value!r}: floats are inexact; pass a Fraction, "
@@ -95,7 +97,8 @@ class VotingSystem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "quota", to_rational(self.quota))
-        object.__setattr__(self, "weights", tuple(to_rational(w) for w in self.weights))
+        # n-tuples come from lists: tuple(<generator>) resizes, so freed ones pile up on free lists.
+        object.__setattr__(self, "weights", tuple([to_rational(w) for w in self.weights]))
         if not self.weights:
             raise InvalidInput("a voting system needs at least one player")
         if any(w < 0 for w in self.weights):
@@ -147,7 +150,9 @@ def critical_players(system: VotingSystem, coalition: Coalition) -> tuple[int, .
     total = coalition_weight(system, coalition)
     if not system.passes(total):
         return ()
-    return tuple(i for i in sorted(coalition) if not system.passes(total - system.weights[i]))
+    return tuple(
+        [i for i in sorted(coalition) if not system.passes(total - system.weights[i])]
+    )
 
 
 @dataclass(frozen=True)
@@ -167,20 +172,23 @@ def scale_to_integers(system: VotingSystem) -> ScaledSystem:
     keeps half-integer quotas (common after halving an odd total) integral.
     If the quota's denominator still does not divide the scale, the scale is
     enlarged minimally.  Scaling by a positive constant never changes which
-    coalitions win, so every engine can work on integers.
+    coalitions win, so every engine can work on integers.  The scale is a
+    multiple of every denominator, so each product is an exact integer
+    division, with no `Fraction` in between.
     """
-    scale = 2 * lcm(*(w.denominator for w in system.weights))
-    quota2 = system.quota * scale
-    if quota2.denominator != 1:
-        scale *= quota2.denominator
-        quota2 = system.quota * scale
-    weights = tuple(int(w * scale) for w in system.weights)
-    return ScaledSystem(weights, int(quota2), system.mode)
+    scale = 2 * lcm(*[w.denominator for w in system.weights])
+    quota = system.quota
+    scale *= quota.denominator // gcd(quota.denominator, scale)
+    weights = tuple([w.numerator * (scale // w.denominator) for w in system.weights])
+    return ScaledSystem(weights, quota.numerator * (scale // quota.denominator), system.mode)
 
 
 def normalize(weights: Iterable[Fraction]) -> tuple[Fraction, ...]:
-    """Divide a non-negative weight vector by its total so it sums to 1."""
-    ws = tuple(to_rational(w) for w in weights)
+    """Divide a non-negative weight vector by its total so it sums to 1.
+
+    A vector that already sums to 1 comes back unchanged, as a tuple.
+    """
+    ws = tuple([to_rational(w) for w in weights])
     if not ws:
         raise InvalidInput("empty weight vector")
     if any(w < 0 for w in ws):
@@ -188,7 +196,9 @@ def normalize(weights: Iterable[Fraction]) -> tuple[Fraction, ...]:
     total = sum(ws, Fraction(0))
     if total == 0:
         raise DegenerateSystem("all weights are zero")
-    return tuple(w / total for w in ws)
+    if total == 1:
+        return ws
+    return tuple([w / total for w in ws])
 
 
 @dataclass(frozen=True)
@@ -199,7 +209,7 @@ class IndexVector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(to_rational(v) for v in self.values))
+        object.__setattr__(self, "values", tuple([to_rational(v) for v in self.values]))
         if any(not 0 <= v <= 1 for v in self.values):
             raise InvalidInput("index entries must lie in [0, 1]")
         if sum(self.values, Fraction(0)) != 1:

@@ -88,7 +88,7 @@ def divisor_system(n: int) -> DivisorSystem:
     system = VotingSystem(
         quota=quota,
         mode=QuotaMode.MEETS_OR_EXCEEDS,
-        weights=tuple(Fraction(d) for d in divs),
+        weights=tuple([Fraction(d) for d in divs]),
     )
     return DivisorSystem(n=n, system=system, divisors=divs, sigma=sigma, excess=sigma - 2 * n)
 
@@ -227,7 +227,7 @@ def disagreement_report(n: int) -> DisagreementReport:
     _, bz = banzhaf_dp(ds.system)
     ss = ss_dp(ds.system)
     witnesses = tuple(
-        i for i, (b, s) in enumerate(zip(bz.values, ss.values)) if b != s
+        [i for i, (b, s) in enumerate(zip(bz.values, ss.values)) if b != s]
     )
 
     try:

@@ -37,11 +37,15 @@ from .core import (
     parse_rational,
     to_rational,
 )
-from .errors import IntegerBoundary, InvalidFamily, InvalidInput, InvariantViolation
+from .errors import IntegerBoundary, InvalidFamily, InvalidInput, InvariantViolation, TooLarge
 from .indices import banzhaf_dp, ss_dp
 
 #: Iteration bailout used when the caller does not pick one.
 DEFAULT_MAX_ITERS = 100
+
+# The family solvers visit O(m) branches; above this light count one solve
+# takes seconds, so it is refused.
+_SOLVE_MAX_M = 200_000
 
 WeightVector = tuple[Fraction, ...]
 
@@ -54,6 +58,12 @@ def _comb0(n: int, k: int) -> int:
 def _check_light_count(m: int) -> None:
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise InvalidFamily(f"light-player count must be a positive integer, got {m!r}")
+
+
+def _check_solve_count(m: int) -> None:
+    _check_light_count(m)
+    if m > _SOLVE_MAX_M:
+        raise TooLarge(f"m = {m} light players is over the solvers' bound of {_SOLVE_MAX_M}")
 
 
 def _check_family_args(m: int, b) -> Fraction:
@@ -202,7 +212,7 @@ def ab_fixed_points(m: int) -> list[Fraction]:
     yields one linear equation for ``b``; integer values of ``1/(2b)`` form
     their own branches.  Degenerate solutions with ``a = 0`` are dropped.
     """
-    _check_light_count(m)
+    _check_solve_count(m)
     found: set[Fraction] = set()
 
     # Branch 1: 1/(2b) strictly between f and f+1.
@@ -240,18 +250,24 @@ def ab_joint_banzhaf_fixed(k: int, c: int, parity: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _span_sum(lo: int, hi: int) -> int:
+    """``lo + (lo+1) + ... + hi``, zero when ``hi < lo``."""
+    return (lo + hi) * (hi - lo + 1) // 2 if hi >= lo else 0
+
+
 def _aab_power_given_floor(m: int, f: int) -> Fraction:
     """Heavy player's Shapley-Shubik share assuming ``floor(1/(2b)) == f``
     and ``1/(2b)`` not an integer; linear-branch kernel shared by the power
-    evaluator and the solver."""
+    evaluator and the solver.
+
+    With ``top = m + 1``, the numerator sums ``top - p`` over ``k < p <=
+    min(f, m)`` and ``p + 1`` over ``max(m - f, 0) <= p <= k``; both are
+    runs of consecutive integers, summed in closed form.
+    """
     k = m // 2
-    if m % 2 == 0:
-        num = sum(2 * k + 1 - p for p in range(k + 1, min(f, 2 * k) + 1))
-        num += sum(p + 1 for p in range(max(2 * k - f, 0), k + 1))
-        return Fraction(num, (2 * k + 1) * (2 * k + 2))
-    num = sum(2 * k + 2 - p for p in range(k + 1, min(f, 2 * k + 1) + 1))
-    num += sum(p + 1 for p in range(max(2 * k + 1 - f, 0), k + 1))
-    return Fraction(num, (2 * k + 2) * (2 * k + 3))
+    top = m + 1
+    num = _span_sum(top - min(f, m), top - k - 1) + _span_sum(max(m - f, 0) + 1, k + 1)
+    return Fraction(num, top * (top + 1))
 
 
 def aab_heavy_ss_power(m: int, b) -> Fraction:
@@ -281,7 +297,7 @@ def aab_fixed_points(m: int) -> list[Fraction]:
     be confirmed with `is_fixed_point`).  The all-equal solution ``a == b``
     is dropped as trivial.
     """
-    _check_light_count(m)
+    _check_solve_count(m)
     found: set[Fraction] = set()
     for f in range(max(1, m // 2), m + 3):
         power = _aab_power_given_floor(m, f)
@@ -462,7 +478,7 @@ def trace_from_dict(data: dict) -> IterationTrace:
     try:
         kind = IndexKind(data["kind"])
         states = tuple(
-            tuple(parse_rational(w) for w in state) for state in data["states"]
+            [tuple([parse_rational(w) for w in state]) for state in data["states"]]
         )
         raw = data["outcome"]
         if raw["type"] == "fixed":

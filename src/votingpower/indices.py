@@ -179,7 +179,7 @@ def banzhaf_enum(
     total = sum(counts)
     if total == 0:  # unreachable once the grand coalition wins, kept as a guard
         raise DegenerateSystem("no player is ever critical")
-    index = IndexVector(IndexKind.BANZHAF, tuple(Fraction(c, total) for c in counts))
+    index = IndexVector(IndexKind.BANZHAF, tuple([Fraction(c, total) for c in counts]))
     return SwingCounts(tuple(counts), total), index
 
 
@@ -205,7 +205,7 @@ def ss_enum_perms(system: VotingSystem) -> tuple[PivotCounts, IndexVector]:
                 break
     total = factorial(n)
     index = IndexVector(
-        IndexKind.SHAPLEY_SHUBIK, tuple(Fraction(c, total) for c in counts)
+        IndexKind.SHAPLEY_SHUBIK, tuple([Fraction(c, total) for c in counts])
     )
     return PivotCounts(tuple(counts), total), index
 
@@ -242,7 +242,7 @@ def ss_enum_subsets(system: VotingSystem, *, cap: int = DEFAULT_ENUM_CAP) -> Ind
         del winning  # keep one slice-sized list alive while folding
         _credit(held, values, high)
     return IndexVector(
-        IndexKind.SHAPLEY_SHUBIK, tuple(Fraction(v - lost, fact[n]) for v in held)
+        IndexKind.SHAPLEY_SHUBIK, tuple([Fraction(v - lost, fact[n]) for v in held])
     )
 
 
@@ -335,7 +335,7 @@ def banzhaf_dp(system: VotingSystem) -> tuple[SwingCounts, IndexVector]:
     swings = sum(counts)
     if swings == 0:
         raise DegenerateSystem("no player is ever critical")
-    index = IndexVector(IndexKind.BANZHAF, tuple(Fraction(c, swings) for c in counts))
+    index = IndexVector(IndexKind.BANZHAF, tuple([Fraction(c, swings) for c in counts]))
     return SwingCounts(tuple(counts), swings), index
 
 
@@ -356,7 +356,7 @@ def ss_dp(system: VotingSystem) -> IndexVector:
     peeled = {w: _pivot_weight(rows, w, qmin, coef) for w in set(weights) if w}
     return IndexVector(
         IndexKind.SHAPLEY_SHUBIK,
-        tuple(Fraction(peeled.get(w, 0), fact[n]) for w in weights),
+        tuple([Fraction(peeled.get(w, 0), fact[n]) for w in weights]),
     )
 
 

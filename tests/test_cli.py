@@ -14,7 +14,14 @@ import pytest
 import votingpower
 from votingpower import SCAN_CSV_COLUMNS, FixedPoint, trace_from_json
 from votingpower.claims import SUITES
-from votingpower.cli import EXIT_CHECK_FAILED, EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, main
+from votingpower.cli import (
+    EXIT_CHECK_FAILED,
+    EXIT_DEGENERATE,
+    EXIT_OK,
+    EXIT_USAGE,
+    build_parser,
+    main,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_ROOT = Path(votingpower.__file__).resolve().parents[1]
@@ -154,6 +161,38 @@ class TestIndexCommand:
 
     def test_help(self, capsys):
         assert run(capsys, "--help")[0] == EXIT_OK
+
+
+class TestParserReuse:
+    # One call per subcommand and exit path; "family ab --solve" after
+    # "--m 4" shows whether a parsed value leaks into the next call.
+    CALLS = [
+        ("index", "--quota", "3", "--weights", "2,1,1", "--format", "json"),
+        ("index", "--quota", "3", "--weights", "2,1,1", "--normalize"),
+        ("divisor", "12"),
+        ("divisor", "--scan", "100", "--format", "csv"),
+        ("fixedpoint", "--weights", "3,2,2,1", "--format", "json"),
+        ("family", "ab", "--m", "4", "--b", "1/9"),
+        ("family", "ab", "--solve"),
+        ("family", "aab", "--solve", "6"),
+        ("verify", "prop21"),
+        ("verify", "prop24", "--n", "12", "--format", "json"),
+    ]
+
+    def test_parser_survives_errors_and_help(self, capsys):
+        first = [run(capsys, *argv)[:2] for argv in self.CALLS]
+        assert {code for code, _ in first} == {EXIT_OK, EXIT_USAGE, EXIT_DEGENERATE}
+        assert all(out for code, out in first if code == EXIT_OK)
+
+        code, out, err = run(capsys, "index", "--quota", "3")
+        assert code == EXIT_USAGE and out == "" and "--weights" in err
+        code, out, _ = run(capsys, "--help")
+        assert code == EXIT_OK and out.startswith("usage: votingpower")
+        code, out, _ = run(capsys, "family", "--help")
+        assert code == EXIT_OK and "--solve" in out
+
+        assert [run(capsys, *argv)[:2] for argv in self.CALLS] == first
+        assert build_parser() is build_parser()
 
 
 class TestDivisorCommand:
@@ -360,6 +399,12 @@ class TestFamilyCommand:
         payloads = json.loads(out)
         assert [p["light_weight"] for p in payloads] == ["1/5", "2/15"]
         assert all(p["valid"] and p["engine_certified"] for p in payloads)
+
+    @pytest.mark.parametrize("shape", ["ab", "aab"])
+    def test_solve_over_the_bound_is_refused(self, capsys, shape):
+        code, out, err = run(capsys, "family", shape, "--solve", "200001")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_parameter_combinations(self, capsys):
         assert run(capsys, "family", "ab")[0] == EXIT_USAGE

@@ -1,6 +1,7 @@
 """Core types: rational parsing, systems, coalitions, scaling, normalization."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -61,6 +62,17 @@ class TestToRational:
     def test_rejects_floats(self):
         with pytest.raises(InvalidInput):
             to_rational(0.5)
+
+    def test_exact_fraction_is_returned_as_it_is(self):
+        value = Fraction(5, 7)
+        assert to_rational(value) is value
+
+    def test_fraction_subclass_is_converted(self):
+        class Tagged(Fraction):
+            pass
+
+        value = to_rational(Tagged(5, 7))
+        assert type(value) is Fraction and value == Fraction(5, 7)
 
     def test_rejects_junk(self):
         with pytest.raises(InvalidInput):
@@ -167,6 +179,27 @@ class TestScaleToIntegers:
         assert scaled_winning == brute_winning(system, frozenset(members))
 
 
+def _scale_by_fraction_products(system):
+    """The reference scaling by `Fraction` products, ``int(w * scale)``."""
+    scale = 2 * lcm(*[w.denominator for w in system.weights])
+    quota2 = system.quota * scale
+    if quota2.denominator != 1:
+        scale *= quota2.denominator
+        quota2 = system.quota * scale
+    return tuple([int(w * scale) for w in system.weights]), int(quota2)
+
+
+class TestScaleMatchesFractionProducts:
+    @given(
+        st.lists(st.fractions(min_value=0, max_value=10**6), min_size=1, max_size=12),
+        st.fractions(min_value=Fraction(1, 10**6), max_value=10**6),
+    )
+    def test_same_integers(self, weights, quota):
+        system = VotingSystem(quota=quota, mode=QuotaMode.MEETS_OR_EXCEEDS, weights=weights)
+        scaled = scale_to_integers(system)
+        assert (scaled.weights, scaled.quota2) == _scale_by_fraction_products(system)
+
+
 class TestNormalize:
     def test_frozen(self):
         assert normalize((2, 1, 1)) == (
@@ -183,12 +216,18 @@ class TestNormalize:
         with pytest.raises(DegenerateSystem):
             normalize((0, 0, 0))
 
+    def test_unit_total_comes_back_equal(self):
+        weights = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(0)]
+        assert normalize(weights) == tuple(weights)
+        assert normalize(iter(weights)) == tuple(weights)
+        assert normalize([1]) == (Fraction(1),)
+
     @given(st.lists(st.fractions(min_value=0, max_value=50), min_size=1, max_size=8))
     def test_sums_to_one_and_keeps_ratios(self, weights):
         if all(w == 0 for w in weights):
             weights[0] = Fraction(1)
         out = normalize(tuple(weights))
-        assert sum(out) == 1
+        assert sum(out) == 1 and normalize(out) == out
         total = sum(weights)
         assert all(v == w / total for v, w in zip(out, weights))
 

@@ -17,6 +17,7 @@ from votingpower import (
     InvariantViolation,
     MaxIterations,
     QuotaMode,
+    TooLarge,
     VotingSystem,
     aab_fixed_point_classes,
     aab_fixed_points,
@@ -290,6 +291,31 @@ class TestTwoHeavySolver:
         # m = 3: all five players at 1/5 is trivially fixed; tables skip it
         assert is_fixed_point((F(1, 5),) * 5, IndexKind.SHAPLEY_SHUBIK)
         assert F(1, 5) not in aab_fixed_points(3)
+
+    def test_closed_forms_match_the_series(self, monkeypatch):
+        closed = {m: aab_fixed_points(m) for m in range(1, 201)}
+        for m in closed:
+            for f in range(2 * m + 4):
+                assert fixedpoint._aab_power_given_floor(m, f) == _aab_power_by_series(m, f)
+        monkeypatch.setattr(fixedpoint, "_aab_power_given_floor", _aab_power_by_series)
+        assert {m: aab_fixed_points(m) for m in closed} == closed
+
+    def test_solvers_refuse_over_the_bound(self):
+        for solve in (ab_fixed_points, aab_fixed_points):
+            with pytest.raises(TooLarge):
+                solve(fixedpoint._SOLVE_MAX_M + 1)
+
+
+def _aab_power_by_series(m, f):
+    """The two-heavy branch share summed term by term: the closed forms' reference."""
+    k = m // 2
+    if m % 2 == 0:
+        num = sum(2 * k + 1 - p for p in range(k + 1, min(f, 2 * k) + 1))
+        num += sum(p + 1 for p in range(max(2 * k - f, 0), k + 1))
+        return F(num, (2 * k + 1) * (2 * k + 2))
+    num = sum(2 * k + 2 - p for p in range(k + 1, min(f, 2 * k + 1) + 1))
+    num += sum(p + 1 for p in range(max(2 * k + 1 - f, 0), k + 1))
+    return F(num, (2 * k + 2) * (2 * k + 3))
 
 
 class TestTwoHeavyClasses:
