@@ -214,7 +214,7 @@ def _suite_two_heavy_tables() -> list[Check]:
             _check(
                 f"two-heavy solutions m={m} engine-certified",
                 certified,
-                "every solution confirmed by exact dynamic programming",
+                "every solution confirmed by the exact engines",
             )
         )
     for k in (1, 2, 3, 4, 5):

@@ -15,7 +15,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verified check failed, 2 bad usage, malformed
 input, an ``--out`` file that cannot be written or a table over its budget,
-3 the requested system is degenerate.
+3 the requested system is degenerate, 141 stdout was closed (as on ``SIGPIPE``).
 
 The argument parser is built once per process, on the first `main` call, and
 reused by every later call.
@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -70,6 +71,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +604,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader left: devnull keeps the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except DegenerateSystem as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

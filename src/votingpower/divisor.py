@@ -23,7 +23,7 @@ from typing import IO, Callable, Iterable
 
 from .core import IndexVector, QuotaMode, VotingSystem
 from .errors import InvalidInput, InvariantViolation, PreconditionFailed, UnsupportedCase
-from .indices import banzhaf_dp, count_winning, ss_dp
+from .indices import banzhaf, count_winning, shapley_shubik
 
 
 def divisors_of(n: int) -> tuple[int, ...]:
@@ -220,12 +220,12 @@ def _check_class(
 def disagreement_report(n: int) -> DisagreementReport:
     """Compute both indices for the divisor system of ``n`` and compare them.
 
-    Also checks any applicable closed-form catalog entry against the exact
-    engine output.
+    Both come from engine ``auto``; any applicable closed-form catalog entry
+    is checked against them.
     """
     ds = divisor_system(n)
-    _, bz = banzhaf_dp(ds.system)
-    ss = ss_dp(ds.system)
+    _, bz = banzhaf(ds.system)
+    ss = shapley_shubik(ds.system)
     witnesses = tuple(
         [i for i, (b, s) in enumerate(zip(bz.values, ss.values)) if b != s]
     )

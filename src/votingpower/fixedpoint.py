@@ -38,7 +38,7 @@ from .core import (
     to_rational,
 )
 from .errors import IntegerBoundary, InvalidFamily, InvalidInput, InvariantViolation, TooLarge
-from .indices import banzhaf_dp, ss_dp
+from .indices import banzhaf, shapley_shubik
 
 #: Iteration bailout used when the caller does not pick one.
 DEFAULT_MAX_ITERS = 100
@@ -363,15 +363,15 @@ def aab_fixed_point_classes(k: int, parity: str) -> list[FamilySpec]:
 
 def apply_index_map(weights: Sequence, kind: IndexKind) -> WeightVector:
     """One step of the index map: normalize, form the strict-majority game,
-    and return its index vector of the requested kind."""
+    and return its index vector of the requested kind (engine ``auto``)."""
     normalized = normalize(weights)
     system = VotingSystem(
         quota=Fraction(1, 2), mode=QuotaMode.STRICTLY_EXCEEDS, weights=normalized
     )
     if kind is IndexKind.BANZHAF:
-        return banzhaf_dp(system)[1].values
+        return banzhaf(system)[1].values
     if kind is IndexKind.SHAPLEY_SHUBIK:
-        return ss_dp(system).values
+        return shapley_shubik(system).values
     raise InvalidInput(f"unknown index kind {kind!r}")
 
 
@@ -431,10 +431,9 @@ def _iterate(
         nxt = step(states[-1])
         if nxt == states[-1]:
             return tuple(states), FixedPoint(index=len(states) - 1)
-        if nxt in seen:
-            entry = seen[nxt]
+        entry = seen.setdefault(nxt, len(states))
+        if entry < len(states):
             return tuple(states), Cycle(entry=entry, length=len(states) - entry)
-        seen[nxt] = len(states)
         states.append(nxt)
     return tuple(states), MaxIterations(max_iters=max_iters)
 

@@ -14,19 +14,20 @@ Three interchangeable routes compute the same exact answers:
   players the table is built and folded one slice of ``2**20`` masks at a
   time, one slice per setting of the players above the first 20.
 * ``banzhaf_dp`` / ``ss_dp`` / ``count_winning(engine="dp")`` share one
-  dynamic-programming kernel.  It divides the integer weights by their gcd,
-  expands ``prod_j (1 + y x**w_j)`` (``y`` marking coalition size, for
-  Shapley-Shubik only) over the players lighter than the quota and only below
-  it, since a swing's losing side and every losing coalition lie there, and
-  keeps prefix sums.  Player ``i`` is then peeled off with the alternating
-  chain ``E_s(<t) = P_s(<t) - E_{s-1}(<t - w_i)``, which visits about
-  ``q / w_i`` points; players of equal weight share one peel.
-  Pseudo-polynomial in the quota, so dozens of players are fine when weights
-  are modest integers; a table of more than ``2**23`` cells is refused with
-  `TooLarge` before it is built.
+  dynamic-programming kernel.  It expands ``prod_j (1 + y x**w_j)`` (``y``
+  marking coalition size, for Shapley-Shubik only) over the players lighter
+  than the quota and only below it, since a swing's losing side and every
+  losing coalition lie there, and keeps prefix sums.  Player ``i`` is then
+  peeled off with the alternating chain ``E_s(<t) = P_s(<t) - E_{s-1}(<t - w_i)``,
+  which visits about ``q / w_i`` points; players of equal weight share one
+  peel.  Pseudo-polynomial in the quota, so dozens of players are fine when
+  weights are modest integers; a table of more than ``2**23`` cells is
+  refused with `TooLarge` before it is built.
 
-All engines rescale to integers first (`scale_to_integers`), so comparisons
-are pure integer arithmetic and results are exact rationals.
+Every engine but the permutation oracle reads `_int_game`: the weights scaled
+to integers and divided by their gcd.  ``engine="auto"``, every caller's route,
+runs the DP above the enumeration cap or when its table fits its budget with
+no more cells than the ``2**n`` masks of enumeration, and else enumerates.
 """
 
 from __future__ import annotations
@@ -56,10 +57,6 @@ _BLOCK_BITS = 20
 # it: a quota-wide row can otherwise exhaust memory or overflow a list.
 _DP_CELL_BUDGET = 1 << 23
 
-# When `engine="auto"`, prefer the DP unless the scaled weights are so large
-# that the DP table would dwarf the 2**n enumeration.
-_AUTO_DP_TOTAL_CAP = 2_000_000
-
 
 @dataclass(frozen=True)
 class SwingCounts:
@@ -77,11 +74,12 @@ class PivotCounts:
     total: int
 
 
-def _scaled_ints(system: VotingSystem) -> tuple[list[int], int]:
-    """Integer weights plus the smallest integer weight a winning coalition can have."""
+def _int_game(system: VotingSystem) -> tuple[list[int], int]:
+    """Integer weights over their gcd ``g``, and the least winning weight over ``g``, rounded up."""
     scaled = scale_to_integers(system)
-    qmin = scaled.quota2 + (1 if scaled.mode is QuotaMode.STRICTLY_EXCEEDS else 0)
-    return list(scaled.weights), qmin
+    qmin = scaled.quota2 + (scaled.mode is QuotaMode.STRICTLY_EXCEEDS)
+    g = gcd(*scaled.weights) or 1  # all weights zero: nothing to divide
+    return [w // g for w in scaled.weights], -(-qmin // g)
 
 
 def _require_winnable(weights: list[int], qmin: int) -> None:
@@ -164,12 +162,11 @@ def banzhaf_enum(
     holding ``i`` with those lacking it, that is the winning masks holding
     ``i`` less the winning masks lacking it.  One fold of the winning flags
     gives the first count for every player, a slice of ``2**20`` masks at a
-    time above 20 players.  Enumeration beyond ~20 players is inherently
-    slow; use the DP engine there.
+    time above 20 players.
     """
     n = system.n
     _require_enumerable(n, cap)
-    weights, qmin = _scaled_ints(system)
+    weights, qmin = _int_game(system)
     _require_winnable(weights, qmin)
 
     held, total_winning = [0] * n, 0
@@ -192,7 +189,8 @@ def ss_enum_perms(system: VotingSystem) -> tuple[PivotCounts, IndexVector]:
     n = system.n
     if n > PERM_CAP:
         raise InvalidInput(f"{n} players exceeds the permutation-oracle cap of {PERM_CAP}")
-    weights, qmin = _scaled_ints(system)
+    scaled = scale_to_integers(system)
+    weights, qmin = scaled.weights, scaled.quota2 + (scaled.mode is QuotaMode.STRICTLY_EXCEEDS)
     _require_winnable(weights, qmin)
 
     counts = [0] * n
@@ -223,7 +221,7 @@ def ss_enum_subsets(system: VotingSystem, *, cap: int = DEFAULT_ENUM_CAP) -> Ind
     """
     n = system.n
     _require_enumerable(n, cap)
-    weights, qmin = _scaled_ints(system)
+    weights, qmin = _int_game(system)
     _require_winnable(weights, qmin)
     fact = [factorial(i) for i in range(n + 1)]
     # The empty mask never wins; the full mask holds every player, so its
@@ -246,11 +244,12 @@ def ss_enum_subsets(system: VotingSystem, *, cap: int = DEFAULT_ENUM_CAP) -> Ind
     )
 
 
-def _reduced_ints(system: VotingSystem) -> tuple[list[int], int]:
-    """`_scaled_ints` divided by the weights' gcd, ``qmin`` rounded up: the same game."""
-    weights, qmin = _scaled_ints(system)
-    g = gcd(*weights) or 1  # all weights zero: nothing to divide
-    return [w // g for w in weights], -(-qmin // g)
+def _table_rows(weights: list[int], qmin: int, by_size: bool) -> tuple[list[int], list[int]]:
+    """The players under ``qmin``, lightest first, and ``least``: where the DP's table rows
+    start, at 0 alone or, ``by_size``, at each size's lightest weight under ``qmin``."""
+    light = sorted(w for w in weights if w < qmin)
+    least = [v for v in accumulate(light, initial=0) if v < qmin] if by_size else [0]
+    return light, least
 
 
 def _losing_prefix_sums(weights: list[int], qmin: int, by_size: bool) -> list[list[int]]:
@@ -262,10 +261,7 @@ def _losing_prefix_sums(weights: list[int], qmin: int, by_size: bool) -> list[li
     size.  Entry ``t`` of a row, ``0 <= t <= qmin``, counts its coalitions of
     weight below ``t``.
     """
-    light = sorted(w for w in weights if w < qmin)
-    # least[s]: the lightest s light players' weight.  Rows that cannot get
-    # below qmin are not built, and row s stays zero below least[s].
-    least = [v for v in accumulate(light, initial=0) if v < qmin] if by_size else [0]
+    light, least = _table_rows(weights, qmin, by_size)
     if len(least) * qmin > _DP_CELL_BUDGET:
         raise TooLarge(
             f"the dynamic program needs {len(least)} x {qmin} table cells, "
@@ -326,7 +322,7 @@ def banzhaf_dp(system: VotingSystem) -> tuple[SwingCounts, IndexVector]:
     alternating prefix-sum chain to count the other players' coalitions in the
     swing window ``qmin - w_i <= weight <= qmin - 1``.
     """
-    weights, qmin = _reduced_ints(system)
+    weights, qmin = _int_game(system)
     _require_winnable(weights, qmin)
     (sums,) = _losing_prefix_sums(weights, qmin, by_size=False)
     peeled = {w: _swings(sums, w, qmin) for w in set(weights) if w}
@@ -347,7 +343,7 @@ def ss_dp(system: VotingSystem) -> IndexVector:
     by the alternating prefix-sum chain, and weighs each swing bucket of size
     ``s`` by ``s! (n-1-s)! / n!``.
     """
-    weights, qmin = _reduced_ints(system)
+    weights, qmin = _int_game(system)
     _require_winnable(weights, qmin)
     n = len(weights)
     fact = [factorial(i) for i in range(n + 1)]
@@ -360,26 +356,24 @@ def ss_dp(system: VotingSystem) -> IndexVector:
     )
 
 
-def _pick_engine(system: VotingSystem, engine: str, cap: int) -> str:
+def _pick_engine(system: VotingSystem, engine: str, cap: int, by_size: bool) -> str:
+    """``engine``, or the pick for "auto" (see above); a losing game takes the DP no table."""
     if engine in ("enum", "dp"):
         return engine
     if engine != "auto":
         raise InvalidInput(f"unknown engine {engine!r} (expected enum, dp or auto)")
     if system.n > cap:
         return "dp"
-    total = sum(scale_to_integers(system).weights)
-    # The DP's widest table has a row per coalition size, each at most half
-    # the scaled total wide (the kernel divides out the scale's factor 2),
-    # so auto never sends to the DP a game whose table it would refuse.
-    fits = (system.n + 1) * (total // 2) <= _DP_CELL_BUDGET
-    return "dp" if total <= _AUTO_DP_TOTAL_CAP and fits else "enum"
+    weights, qmin = _int_game(system)
+    cells = len(_table_rows(weights, qmin, by_size)[1]) * qmin if sum(weights) >= qmin else 0
+    return "dp" if cells <= min(1 << system.n, _DP_CELL_BUDGET) else "enum"
 
 
 def banzhaf(
     system: VotingSystem, engine: str = "auto", *, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[SwingCounts, IndexVector]:
     """Banzhaf counts and index through the chosen engine (enum, dp or auto)."""
-    if _pick_engine(system, engine, cap) == "enum":
+    if _pick_engine(system, engine, cap, by_size=False) == "enum":
         return banzhaf_enum(system, cap=cap)
     return banzhaf_dp(system)
 
@@ -388,7 +382,7 @@ def shapley_shubik(
     system: VotingSystem, engine: str = "auto", *, cap: int = DEFAULT_ENUM_CAP
 ) -> IndexVector:
     """Shapley-Shubik index through the chosen engine (enum, dp or auto)."""
-    if _pick_engine(system, engine, cap) == "enum":
+    if _pick_engine(system, engine, cap, by_size=True) == "enum":
         return ss_enum_subsets(system, cap=cap)
     return ss_dp(system)
 
@@ -402,11 +396,11 @@ def count_winning(
     the quota, and subtracts them from ``2**n``; it answers 0 at once when
     the grand coalition loses.
     """
-    if _pick_engine(system, engine, cap) == "enum":
+    route = _pick_engine(system, engine, cap, by_size=False)
+    weights, qmin = _int_game(system)
+    if route == "enum":
         _require_enumerable(system.n, cap)
-        weights, qmin = _scaled_ints(system)
         return sum(sum(winning) for _, winning in _winning_slices(weights, qmin))
-    weights, qmin = _reduced_ints(system)
     if sum(weights) < qmin:
         return 0  # the grand coalition loses; no table as wide as the quota
     (sums,) = _losing_prefix_sums(weights, qmin, by_size=False)

@@ -7,14 +7,25 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import votingpower
-from votingpower import SCAN_CSV_COLUMNS, FixedPoint, trace_from_json
+from votingpower import (
+    SCAN_CSV_COLUMNS,
+    FixedPoint,
+    QuotaMode,
+    VotingSystem,
+    banzhaf_enum,
+    divisor_system,
+    ss_enum_subsets,
+    trace_from_json,
+)
 from votingpower.claims import SUITES
 from votingpower.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CHECK_FAILED,
     EXIT_DEGENERATE,
     EXIT_OK,
@@ -39,8 +50,8 @@ OVERSIZED_DP_GAMES = pytest.mark.parametrize(
     ids=["wide-quota", "25-players-1/p"],
 )
 
-# 17 players with a scaled total past 10^8, so auto enumerates instead of
-# building a DP row
+# 17 players with a scaled total past 10^8: the DP's table would have more
+# cells than the 2**17 masks, so auto enumerates
 MIXED_17_WEIGHTS = ",".join(
     f"{q + i}/{q}" for i, q in enumerate(([7, 11, 13, 17, 19, 23] * 3)[:17])
 )
@@ -280,6 +291,16 @@ class TestDivisorCommand:
         code, _, err = run(capsys, "divisor")
         assert code == EXIT_USAGE and "error:" in err
 
+    # a quota in the billions, but at most four seats: auto enumerates
+    @pytest.mark.parametrize("n", [2000000014, 9999999967])
+    def test_few_seats_with_a_huge_quota_enumerate(self, capsys, n):
+        code, out, _ = run(capsys, "divisor", str(n), "--format", "json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        game = divisor_system(n).system
+        assert payload["banzhaf"] == [str(v) for v in banzhaf_enum(game)[1].values]
+        assert payload["shapley_shubik"] == [str(v) for v in ss_enum_subsets(game).values]
+
     def test_prime_n_is_degenerate_free_but_has_no_catalog(self, capsys):
         code, out, _ = run(capsys, "divisor", "24", "--format", "json")
         assert code == EXIT_OK
@@ -317,6 +338,21 @@ class TestFixedpointCommand:
         trace = trace_from_json(out)
         assert trace.kind.value == "banzhaf"
         assert isinstance(trace.outcome, FixedPoint)
+
+    def test_20_players_with_growing_denominators_enumerate(self, capsys):
+        weights = "8,19,18,5,12,30,20,16,21,19,3,20,1,30,27,16,9,18,8,7"
+        code, out, _ = run(
+            capsys, "fixedpoint", "--weights", weights, "--index", "ss",
+            "--max-iters", "2", "--format", "json",
+        )
+        assert code == EXIT_OK
+        states = trace_from_json(out).states
+        assert len(states) == 3
+        for state, image in zip(states, states[1:]):
+            game = VotingSystem(
+                quota=Fraction(1, 2), mode=QuotaMode.STRICTLY_EXCEEDS, weights=state
+            )
+            assert image == ss_enum_subsets(game).values
 
     def test_all_zero_weights(self, capsys):
         code, _, err = run(capsys, "fixedpoint", "--weights", "0,0,0")
@@ -571,6 +607,20 @@ def _run_capped(*argv):
         [sys.executable, "-m", "votingpower", *argv],
         capture_output=True, text=True, env=_child_env(), preexec_fn=cap, timeout=120,
     )
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    child = subprocess.Popen(
+        [sys.executable, "-m", "votingpower", "divisor", "--scan", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env(),
+    )
+    # the scan prints over 100 kB, more than a pipe holds, so the child is
+    # still writing when the reader goes away
+    assert child.stdout.readline().split() == ["n", "divisor_count", "excess"]
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert "Traceback" not in err
 
 
 def _declared_script(name):

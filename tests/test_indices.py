@@ -217,8 +217,11 @@ class TestCapsAndErrors:
         # a DP table as wide as this quota would not fit in memory
         for s in (
             VotingSystem(quota=10**12, mode=mode, weights=(1, 1)),
-            VotingSystem(quota=10**12, mode=mode, weights=(1,) * 17),  # auto picks dp
+            VotingSystem(quota=10**12, mode=mode, weights=(1,) * 17),
         ):
+            # the DP answers without its table, so auto need not enumerate
+            for by_size in (False, True):
+                assert indices._pick_engine(s, "auto", DEFAULT_ENUM_CAP, by_size) == "dp"
             assert count_winning(s, "dp") == 0
             assert count_winning(s) == 0
             with pytest.raises(DegenerateSystem):
@@ -233,6 +236,21 @@ class TestCapsAndErrors:
             ss_dp(s)
         assert shapley_shubik(s) == ss_enum_subsets(s)
         assert banzhaf(s) == banzhaf_enum(s)
+
+    def test_auto_reads_the_table_shape_of_each_index(self):
+        # one row of 250 cells is within 2**10 masks; ten size rows are not
+        s = _system(250, (1,) * 9 + (300,))
+        assert indices._pick_engine(s, "auto", DEFAULT_ENUM_CAP, by_size=False) == "dp"
+        assert indices._pick_engine(s, "auto", DEFAULT_ENUM_CAP, by_size=True) == "enum"
+
+    def test_auto_enumerates_a_table_within_2_to_the_n_but_over_budget(self):
+        # 24 players: a one-row table of 10**7 cells is within 2**24 masks,
+        # but over the DP's budget of 2**23 cells
+        s = _system(10**7, (1,) * 23 + (2 * 10**7,))
+        for by_size in (False, True):
+            assert indices._pick_engine(s, "auto", DEFAULT_ENUM_CAP, by_size) == "enum"
+        with pytest.raises(TooLarge):
+            count_winning(s, "dp")
 
     def test_strict_mode_at_exact_total(self):
         s = VotingSystem(quota=3, mode=QuotaMode.STRICTLY_EXCEEDS, weights=(2, 1))
@@ -251,21 +269,33 @@ AUTO_PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 def auto_games(draw) -> tuple[VotingSystem, int, str]:
     """A game, an enumeration cap and the engine ``auto`` must pick for them.
 
-    Integer weights with a small total go to the DP.  Weights over six or
-    more distinct prime denominators, whose scaled total is past
-    ``_AUTO_DP_TOTAL_CAP``, go to enumeration; their quota is at least half
-    the total, so their DP tables are mostly over budget and refused before
-    they are built.  A game with more players than the cap goes to the DP.
+    One route per branch of the rule, the same pick for either index:
+
+    * "small": 10-12 players of weight at most 4, so even the size-by-size
+      table has at most ``13 x 48`` cells, within the ``2**n`` masks: DP.
+    * "wide": 2-8 players of weight 300-1000, two of them consecutive (so
+      the weights' gcd is 1), and a quota of at least half the total, so the
+      table is wider than ``2**n`` but within the DP's budget: enumeration.
+    * "primes": six or more distinct prime denominators and a quota of at
+      least half the total, so the table is over the DP's budget: enumeration.
+    * "cap": more players than the cap: DP.
+
+    Quotas stay below the total, so the grand coalition always wins.
     """
     mode = draw(st.sampled_from(tuple(QuotaMode)))
-    route = draw(st.sampled_from(("integer", "primes", "cap")))
+    route = draw(st.sampled_from(("small", "wide", "primes", "cap")))
     if route == "primes":
         dens = draw(st.lists(st.sampled_from(AUTO_PRIMES), min_size=6, max_size=8, unique=True))
         weights = [Fraction(draw(st.integers(p + 1, 2 * p - 1)), p) for p in dens]
-        share = Fraction(draw(st.integers(50, 100)), 100)
+        share = Fraction(draw(st.integers(50, 99)), 100)
         return _system(share * sum(weights), weights, mode), DEFAULT_ENUM_CAP, "enum"
-    weights = draw(st.lists(st.integers(0, 30), min_size=1, max_size=9).filter(any))
-    s = _system(draw(st.integers(1, sum(weights))), weights, mode)
+    if route == "wide":
+        k = draw(st.integers(300, 999))
+        weights = draw(st.lists(st.integers(300, 1000), max_size=6)) + [k, k + 1]
+        quota = draw(st.integers(-(-sum(weights) // 2), sum(weights) - 1))
+        return _system(quota, weights, mode), DEFAULT_ENUM_CAP, "enum"
+    weights = draw(st.lists(st.integers(0, 4), min_size=10, max_size=12).filter(any))
+    s = _system(draw(st.integers(1, max(1, sum(weights) - 1))), weights, mode)
     if route == "cap":
         return s, draw(st.integers(0, s.n - 1)), "dp"
     return s, DEFAULT_ENUM_CAP, "dp"
@@ -331,17 +361,16 @@ class TestStructuralProperties:
 
     @settings(deadline=None, max_examples=60)
     @given(auto_games())
-    @example((_system(3, (2, 1, 1)), DEFAULT_ENUM_CAP, "dp"))  # integer weights
-    @example(  # six prime denominators: a scaled total past 2*10**6
+    @example((_system(7, (4,) * 6 + (0,) * 6), DEFAULT_ENUM_CAP, "dp"))  # small
+    @example((_system(1200, (300, 700, 999)), DEFAULT_ENUM_CAP, "enum"))  # wide
+    @example(  # primes: six prime denominators
         (_system(4, [Fraction(p + 1, p) for p in AUTO_PRIMES[:6]]), DEFAULT_ENUM_CAP, "enum")
     )
-    @example((_system(3, (2, 1, 1)), 2, "dp"))  # more players than the cap
-    @example(  # a small total, but a DP table over its budget
-        (_system(850_000, range(90_001, 90_011)), DEFAULT_ENUM_CAP, "enum")
-    )
+    @example((_system(3, (2,) + (1,) * 9), 2, "dp"))  # cap
     def test_auto_engine_agrees_with_explicit(self, game):
         s, cap, pick = game
-        assert indices._pick_engine(s, "auto", cap) == pick
+        for by_size in (False, True):
+            assert indices._pick_engine(s, "auto", cap, by_size) == pick
         for index in (banzhaf, shapley_shubik, count_winning):
             auto = _outcome(index, s, "auto", cap)
             enum = _outcome(index, s, "enum", DEFAULT_ENUM_CAP)
