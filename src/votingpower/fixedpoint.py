@@ -213,24 +213,27 @@ def ab_fixed_points(m: int) -> list[Fraction]:
     their own branches.  Degenerate solutions with ``a = 0`` are dropped.
     """
     _check_solve_count(m)
-    found: set[Fraction] = set()
+    found: list[Fraction] = []
 
-    # Branch 1: 1/(2b) strictly between f and f+1.
+    # Branch 1: 1/(2b) strictly between f and f+1.  The heavy is pivotal for
+    # ``count`` of the m+1 light counts, so a = count/(m+1) and
+    # b = (m+1-count)/(m(m+1)), and 1/(2b) = m(m+1) / (2(m+1-count)).
     for f in range(m // 2, m + 2):
         count = max(0, min(m, f) - max(0, m - f) + 1)
-        b = (1 - Fraction(count, m + 1)) / m
-        if b <= 0 or m * b >= 1:
+        if not 0 < count <= m:  # b <= 0, or a = 1 - m*b <= 0
             continue
-        if not _floor_gate(b, f):
-            found.add(b)
+        floor_half, rest = divmod(m * (m + 1), 2 * (m + 1 - count))
+        if rest and floor_half == f:
+            found.append(Fraction(m + 1 - count, m * (m + 1)))
 
-    # Branch 2: 1/(2b) = t exactly.
+    # Branch 2: 1/(2b) = t exactly, b = 1/(2t); the share count/(m+1) must
+    # equal a = (2t - m)/(2t).
     for t in range(m // 2 + 1, m + 2):
-        b = Fraction(1, 2 * t)
-        if m * b >= 1:
+        if m >= 2 * t:
             continue
-        if ab_heavy_ss_power(m, b) == 1 - m * b:
-            found.add(b)
+        count = max(0, min(m, t) - max(0, m - t + 1) + 1)
+        if 2 * t * count == (m + 1) * (2 * t - m):
+            found.append(Fraction(1, 2 * t))
 
     return sorted(found)
 

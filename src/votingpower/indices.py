@@ -17,7 +17,11 @@ Three interchangeable routes compute the same exact answers:
   dynamic-programming kernel.  It expands ``prod_j (1 + y x**w_j)`` (``y``
   marking coalition size, for Shapley-Shubik only) over the players lighter
   than the quota and only below it, since a swing's losing side and every
-  losing coalition lie there, and keeps prefix sums.  Player ``i`` is then
+  losing coalition lie there, and keeps prefix sums.  The table is one
+  Python int, packed column by column: one column per weight below the
+  quota, one field per size row in it, each field ``8 * (L // 8 + 1)`` bits
+  wide for ``L`` light players, wider than any count.  A player's factor is
+  a shift and an add of that int, run in C.  Player ``i`` is then
   peeled off with the alternating chain ``E_s(<t) = P_s(<t) - E_{s-1}(<t - w_i)``,
   which visits about ``q / w_i`` points; players of equal weight share one
   peel.  Pseudo-polynomial in the quota, so dozens of players are fine when
@@ -32,12 +36,13 @@ no more cells than the ``2**n`` masks of enumeration, and else enumerates.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, permutations
 from math import factorial, gcd
-from operator import add, mul
+from operator import add
 
 from .core import IndexKind, IndexVector, QuotaMode, VotingSystem, scale_to_integers
 from .errors import DegenerateSystem, InvalidInput, TooLarge
@@ -54,7 +59,10 @@ PERM_CAP = 9
 _BLOCK_BITS = 20
 
 # The dynamic programs refuse a table of more cells than this before building
-# it: a quota-wide row can otherwise exhaust memory or overflow a list.
+# it: a quota-wide row can otherwise exhaust memory.  A cell is one packed
+# field of b = 8 * (L // 8 + 1) bits for L light players: the table int
+# takes b / 8 bytes per cell, and its decoded prefix sums one int per weight
+# below the quota.
 _DP_CELL_BUDGET = 1 << 23
 
 
@@ -244,41 +252,66 @@ def ss_enum_subsets(system: VotingSystem, *, cap: int = DEFAULT_ENUM_CAP) -> Ind
     )
 
 
-def _table_rows(weights: list[int], qmin: int, by_size: bool) -> tuple[list[int], list[int]]:
-    """The players under ``qmin``, lightest first, and ``least``: where the DP's table rows
-    start, at 0 alone or, ``by_size``, at each size's lightest weight under ``qmin``."""
+def _table_rows(weights: list[int], qmin: int, by_size: bool) -> tuple[list[int], int]:
+    """The players under ``qmin``, lightest first, and the DP table's size rows: one, or,
+    ``by_size``, one per size whose lightest coalition of those players weighs under ``qmin``."""
     light = sorted(w for w in weights if w < qmin)
-    least = [v for v in accumulate(light, initial=0) if v < qmin] if by_size else [0]
-    return light, least
+    rows = sum(v < qmin for v in accumulate(light, initial=0)) if by_size else 1
+    return light, rows
 
 
-def _losing_prefix_sums(weights: list[int], qmin: int, by_size: bool) -> list[list[int]]:
+# memoryview formats of the column widths, in bytes, that decode without a loop
+_NATIVE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _losing_prefix_sums(
+    weights: list[int], qmin: int, by_size: bool
+) -> tuple[list[int], int, int]:
     """Prefix sums of the generating function of the coalitions lighter than ``qmin``.
 
     Only players lighter than ``qmin`` can sit in such a coalition, so only
-    they are expanded, and only below ``qmin``.  Row ``s`` is for coalitions
-    of ``s`` members when ``by_size``; otherwise a single row covers every
-    size.  Entry ``t`` of a row, ``0 <= t <= qmin``, counts its coalitions of
-    weight below ``t``.
+    they are expanded, and only below ``qmin``.  The table is one int of
+    ``qmin`` columns of ``rows`` fields, each ``bits`` wide: the field at bit
+    ``(t * rows + s) * bits`` counts the coalitions of weight ``t`` and,
+    ``by_size``, of ``s`` members (one row covers every size otherwise).
+    Multiplying by ``1 + y x**w`` adds to the table a copy of itself shifted
+    by ``w`` columns and, ``by_size``, one field.  The copy's part that would
+    land at weight ``qmin`` or more is cut before the shift, and with it every
+    coalition shifted past the last row, which weighs that much; cutting the
+    copy rather than the sum keeps at most three table-sized ints alive.  No
+    count or prefix sum reaches ``2**(L + 1)`` for ``L`` light players, so
+    fields of ``bits = 8 * (L // 8 + 1)`` never carry into each other.
+
+    Returns ``(sums, rows, bits)``: ``sums[t]``, ``0 <= t <= qmin``, packs
+    the same fields, counting the coalitions of weight below ``t``.
     """
-    light, least = _table_rows(weights, qmin, by_size)
-    if len(least) * qmin > _DP_CELL_BUDGET:
+    light, rows = _table_rows(weights, qmin, by_size)
+    if rows * qmin > _DP_CELL_BUDGET:
         raise TooLarge(
-            f"the dynamic program needs {len(least)} x {qmin} table cells, "
+            f"the dynamic program needs {rows} x {qmin} table cells, "
             f"over its budget of {_DP_CELL_BUDGET}"
         )
-    rows = [[1] + [0] * (qmin - 1)] + [[0] * qmin for _ in least[1:]]
-    for j, w in enumerate(light):
-        if by_size:
-            for s in range(min(j + 1, len(rows) - 1), 0, -1):
-                start = least[s - 1] + w
-                rows[s][start:] = map(add, rows[s][start:], rows[s - 1][start - w : qmin - w])
+    bits = 8 * (len(light) // 8 + 1)
+    column = rows * bits
+    size = qmin * column
+    table = 1
+    for w in light:
+        shift = w * column + by_size * bits
+        if table.bit_length() > size - shift:  # cut what would land at weight qmin or more
+            table += (table & (1 << size - shift) - 1) << shift
         else:
-            row = rows[0]
-            row[w:] = map(add, row[w:], row[: qmin - w])
-    for s, row in enumerate(rows):
-        rows[s] = list(accumulate(row, initial=0))
-    return rows
+            table += table << shift
+    data = table.to_bytes(size // 8, "little")
+    del table  # the decode needs only the bytes
+    width = column // 8
+    view = memoryview(data)
+    if width in _NATIVE_FORMATS and sys.byteorder == "little":
+        columns = view.cast(_NATIVE_FORMATS[width])
+    else:
+        columns = (
+            int.from_bytes(view[i : i + width], "little") for i in range(0, len(data), width)
+        )
+    return list(accumulate(columns, initial=0)), rows, bits
 
 
 def _peel_points(w: int, qmin: int) -> range:
@@ -300,18 +333,28 @@ def _swings(sums: list[int], w: int, qmin: int) -> int:
     return sums[qmin] - 2 * e
 
 
-def _pivot_weight(rows: list[list[int]], w: int, qmin: int, coef: list[int]) -> int:
+def _pivot_weight(
+    sums: list[int], w: int, qmin: int, coef: list[int], rows: int, bits: int
+) -> int:
     """``sum_s coef[s]`` times the coalitions of ``s`` other players in the swing window.
 
-    As `_swings`, size by size: ``E_s(<t) = P_s(<t) - E_{s-1}(<t - w)``, and
-    the window of size ``s`` holds
-    ``P_s(<qmin) - E_{s-1}(<qmin - w) - E_s(<qmin - w)``.
+    As `_swings`, size by size, on the packed rows of `_losing_prefix_sums`:
+    ``E_s(<t) = P_s(<t) - E_{s-1}(<t - w)`` is one shift of ``E`` by a field,
+    and the window of size ``s`` holds
+    ``P_s(<qmin) - E_{s-1}(<qmin - w) - E_s(<qmin - w)``.  Every field stays a
+    count, so no subtraction borrows across fields, and the shift never
+    leaves the rows: ``E_{rows-1}(<qmin - w)`` is 0, since such a coalition
+    and the player would be ``rows`` light players lighter than ``qmin``.
     """
-    e = [0] * len(rows)
+    e = 0
     for t in _peel_points(w, qmin):
-        e = [row[t] - d for row, d in zip(rows, [0] + e)]
-    window = [row[qmin] - d - f for row, d, f in zip(rows, [0] + e, e)]
-    return sum(map(mul, coef, window))
+        e = sums[t] - (e << bits)
+    window = (sums[qmin] - (e << bits) - e).to_bytes(rows * bits // 8, "little")
+    step = bits // 8
+    return sum(
+        c * int.from_bytes(window[s * step : (s + 1) * step], "little")
+        for s, c in zip(range(rows), coef)
+    )
 
 
 def banzhaf_dp(system: VotingSystem) -> tuple[SwingCounts, IndexVector]:
@@ -324,7 +367,7 @@ def banzhaf_dp(system: VotingSystem) -> tuple[SwingCounts, IndexVector]:
     """
     weights, qmin = _int_game(system)
     _require_winnable(weights, qmin)
-    (sums,) = _losing_prefix_sums(weights, qmin, by_size=False)
+    sums, _, _ = _losing_prefix_sums(weights, qmin, by_size=False)
     peeled = {w: _swings(sums, w, qmin) for w in set(weights) if w}
     counts = [peeled.get(w, 0) for w in weights]
 
@@ -348,8 +391,8 @@ def ss_dp(system: VotingSystem) -> IndexVector:
     n = len(weights)
     fact = [factorial(i) for i in range(n + 1)]
     coef = [fact[s] * fact[n - 1 - s] for s in range(n)]
-    rows = _losing_prefix_sums(weights, qmin, by_size=True)
-    peeled = {w: _pivot_weight(rows, w, qmin, coef) for w in set(weights) if w}
+    sums, rows, bits = _losing_prefix_sums(weights, qmin, by_size=True)
+    peeled = {w: _pivot_weight(sums, w, qmin, coef, rows, bits) for w in set(weights) if w}
     return IndexVector(
         IndexKind.SHAPLEY_SHUBIK,
         tuple([Fraction(peeled.get(w, 0), fact[n]) for w in weights]),
@@ -365,7 +408,7 @@ def _pick_engine(system: VotingSystem, engine: str, cap: int, by_size: bool) -> 
     if system.n > cap:
         return "dp"
     weights, qmin = _int_game(system)
-    cells = len(_table_rows(weights, qmin, by_size)[1]) * qmin if sum(weights) >= qmin else 0
+    cells = _table_rows(weights, qmin, by_size)[1] * qmin if sum(weights) >= qmin else 0
     return "dp" if cells <= min(1 << system.n, _DP_CELL_BUDGET) else "enum"
 
 
@@ -403,5 +446,5 @@ def count_winning(
         return sum(sum(winning) for _, winning in _winning_slices(weights, qmin))
     if sum(weights) < qmin:
         return 0  # the grand coalition loses; no table as wide as the quota
-    (sums,) = _losing_prefix_sums(weights, qmin, by_size=False)
+    sums, _, _ = _losing_prefix_sums(weights, qmin, by_size=False)
     return (1 << system.n) - sums[qmin]

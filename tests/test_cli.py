@@ -142,6 +142,23 @@ class TestIndexCommand:
         assert child.stderr.startswith("error:") and child.stderr.count("\n") == 1
         assert "Traceback" not in child.stderr
 
+    def test_dp_table_at_its_cell_budget_runs_under_a_memory_cap(self):
+        # a single row as wide as the quota: 2**23 cells, the budget exactly
+        def banzhaf_dp_child(quota):
+            return _run_capped(
+                "index", "--engine", "dp", "--index", "banzhaf", "--quota", quota,
+                "--weights", "8388607,1,1", "--format", "json",
+            )
+
+        child = banzhaf_dp_child("8388608")
+        assert child.returncode == EXIT_OK, child.stderr
+        payload = json.loads(child.stdout)
+        assert payload["winning_coalitions"] == 3
+        assert payload["banzhaf"]["values"] == ["3/5", "1/5", "1/5"]
+        child = banzhaf_dp_child("8388609")
+        assert child.returncode == EXIT_USAGE and child.stdout == ""
+        assert child.stderr.startswith("error:") and child.stderr.count("\n") == 1
+
     def test_17_players_over_mixed_denominators_enumerate(self, capsys):
         code, out, _ = run(
             capsys, "index", "--quota", "12", "--weights", MIXED_17_WEIGHTS, "--format", "json"

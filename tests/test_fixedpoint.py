@@ -211,6 +211,26 @@ class TestOneHeavySolver:
         for m in range(1, 13):
             assert F(1, m + 1) in ab_fixed_points(m)
 
+    def test_integer_branches_match_the_fraction_formulation(self):
+        for m in range(1, 201):
+            assert ab_fixed_points(m) == _ab_fixed_points_by_fractions(m), m
+
+
+def _ab_fixed_points_by_fractions(m):
+    """The one-heavy solver in `Fraction`s, each branch checked through the
+    share formula and the floor gate: the integer solver's reference."""
+    found = set()
+    for f in range(m // 2, m + 2):
+        count = max(0, min(m, f) - max(0, m - f) + 1)
+        b = (1 - F(count, m + 1)) / m
+        if 0 < b and m * b < 1 and not fixedpoint._floor_gate(b, f):
+            found.add(b)
+    for t in range(m // 2 + 1, m + 2):
+        b = F(1, 2 * t)
+        if m * b < 1 and ab_heavy_ss_power(m, b) == 1 - m * b:
+            found.add(b)
+    return sorted(found)
+
 
 class TestTwoHeavySsPower:
     @pytest.mark.parametrize(

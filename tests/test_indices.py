@@ -36,6 +36,7 @@ from conftest import (
     brute_winning,
     random_system,
 )
+from list_kernel import prefix_sum_rows, reference_dp
 
 ENGINE_PAIRS = [
     ("banzhaf_enum", lambda s: banzhaf_enum(s)[1].values),
@@ -439,6 +440,17 @@ class TestKernelBranches:
         assert list(ss_dp(s).values) == expected_ss
         assert list(ss_enum_perms(s)[1].values) == expected_ss
 
+    @settings(deadline=None, max_examples=50)
+    @given(kernel_games())
+    @example(_system(40, [i % 4 for i in range(70)]))  # 70 light players, 72-bit fields
+    def test_dp_matches_the_list_kernel(self, s):
+        if count_winning(s, "dp") == 0:
+            return
+        winning, swings, ss = reference_dp(s)
+        assert count_winning(s, "dp") == winning
+        assert list(banzhaf_dp(s)[0].per_player) == swings
+        assert list(ss_dp(s).values) == ss
+
     @settings(deadline=None, max_examples=30)
     @given(kernel_games(max_n=12))
     @example(_system(9, (2, 1, 0)))
@@ -470,3 +482,31 @@ class TestKernelBranches:
             return
         assert banzhaf_enum(s) == banzhaf_dp(s)
         assert ss_enum_subsets(s) == ss_dp(s)
+
+
+class TestPackedTable:
+    """The packed DP table, field by field, against the list kernel.
+
+    ``L`` light players of weights ``0..3`` (zero-weight players included)
+    and one heavy player.  A quota above the light total makes every one of
+    the ``2**L`` light coalitions losing, so the last prefix sum is ``2**L``,
+    the largest value a field holds: each ``L`` sits at or next to a boundary
+    of the field width ``8 * (L // 8 + 1)``.
+    """
+
+    @pytest.mark.parametrize("by_size", [False, True])
+    @pytest.mark.parametrize("light", [7, 8, 9, 15, 16, 17, 63, 64, 65, 70])
+    def test_fields_match_the_list_kernel(self, light, by_size):
+        weights = [i % 4 for i in range(light)]
+        for qmin in (sum(weights) // 2, sum(weights) + 1):
+            sums, rows, bits = indices._losing_prefix_sums(weights + [qmin], qmin, by_size)
+            reference = prefix_sum_rows(weights + [qmin], qmin, by_size)
+            assert bits % 8 == 0 and bits > light
+            assert rows == len(reference) and len(sums) == qmin + 1
+            field = (1 << bits) - 1
+            for t, packed in enumerate(sums):
+                assert packed >> rows * bits == 0
+                assert [packed >> s * bits & field for s in range(rows)] == [
+                    row[t] for row in reference
+                ]
+        assert sum(row[qmin] for row in reference) == 1 << light
