@@ -505,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-players",
         type=int,
         default=DEFAULT_ENUM_CAP,
-        help="enumeration cap override for the enum engine",
+        help="player cap for the enum engine, which counts from two sorted halves",
     )
     p.add_argument("--format", choices=["table", "json", "csv"], default="table")
     p.set_defaults(func=cmd_index)

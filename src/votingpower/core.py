@@ -183,6 +183,12 @@ def scale_to_integers(system: VotingSystem) -> ScaledSystem:
     return ScaledSystem(weights, quota.numerator * (scale // quota.denominator), system.mode)
 
 
+def _exact_sum(values: tuple[Fraction, ...]) -> tuple[int, int]:
+    """The sum of ``values`` over the lcm of their denominators, without a gcd per term."""
+    den = lcm(*[v.denominator for v in values])
+    return sum([v.numerator * (den // v.denominator) for v in values]), den
+
+
 def normalize(weights: Iterable[Fraction]) -> tuple[Fraction, ...]:
     """Divide a non-negative weight vector by its total so it sums to 1.
 
@@ -193,11 +199,12 @@ def normalize(weights: Iterable[Fraction]) -> tuple[Fraction, ...]:
         raise InvalidInput("empty weight vector")
     if any(w < 0 for w in ws):
         raise InvalidInput("weights must be non-negative")
-    total = sum(ws, Fraction(0))
-    if total == 0:
+    num, den = _exact_sum(ws)
+    if num == 0:
         raise DegenerateSystem("all weights are zero")
-    if total == 1:
+    if num == den:
         return ws
+    total = Fraction(num, den)
     return tuple([w / total for w in ws])
 
 
@@ -212,7 +219,8 @@ class IndexVector:
         object.__setattr__(self, "values", tuple([to_rational(v) for v in self.values]))
         if any(not 0 <= v <= 1 for v in self.values):
             raise InvalidInput("index entries must lie in [0, 1]")
-        if sum(self.values, Fraction(0)) != 1:
+        num, den = _exact_sum(self.values)
+        if num != den:
             raise InvalidInput("index entries must sum to exactly 1")
 
     def __iter__(self):

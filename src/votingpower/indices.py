@@ -5,22 +5,22 @@ Three interchangeable routes compute the same exact answers:
 * ``ss_enum_perms`` walks all ``n!`` orderings — the ground-truth oracle for
   the Shapley-Shubik index, practical only for small ``n``.
 * ``banzhaf_enum`` / ``ss_enum_subsets`` / ``count_winning(engine="enum")``
-  look at all ``2**n`` coalitions as bit masks.  They tabulate which masks
-  win and read every player's tally off one halving fold of that table, by
-  the swing identity: player ``i``'s tally is the sum of ``f_with`` over
-  winning masks holding ``i`` minus the sum of ``f_without`` over winning
-  masks lacking it.  For Banzhaf both are 1; for Shapley-Shubik they are
-  ``(|m|-1)! (n-|m|)!`` and ``|m|! (n-1-|m|)!`` (out of ``n!``).  Above 20
-  players the table is built and folded one slice of ``2**20`` masks at a
-  time, one slice per setting of the players above the first 20.
+  count all ``2**n`` coalitions from two halves of the players (Klinz and
+  Woeginger's split), in about ``n * 2**(n/2)`` steps: one bisection per
+  mask of one half into the other half's sorted subset sums, then a halving
+  fold over the half's masks.  By the swing identity, player ``i``'s tally
+  is the sum of ``f_with`` over winning coalitions holding ``i`` minus the
+  sum of ``f_without`` over winning coalitions lacking it.  For
+  Banzhaf both are 1; for Shapley-Shubik they are ``(|m|-1)! (n-|m|)!`` and
+  ``|m|! (n-1-|m|)!`` (out of ``n!``).
 * ``banzhaf_dp`` / ``ss_dp`` / ``count_winning(engine="dp")`` share one
   dynamic-programming kernel.  It expands ``prod_j (1 + y x**w_j)`` (``y``
   marking coalition size, for Shapley-Shubik only) over the players lighter
   than the quota and only below it, since a swing's losing side and every
   losing coalition lie there, and keeps prefix sums.  The table is one
   Python int, packed column by column: one column per weight below the
-  quota, one field per size row in it, each field ``8 * (L // 8 + 1)`` bits
-  wide for ``L`` light players, wider than any count.  A player's factor is
+  quota, one field per size row in it, each field `_field_bits` wide for
+  ``L`` light players, wider than any count.  A player's factor is
   a shift and an add of that int, run in C.  Player ``i`` is then
   peeled off with the alternating chain ``E_s(<t) = P_s(<t) - E_{s-1}(<t - w_i)``,
   which visits about ``q / w_i`` points; players of equal weight share one
@@ -37,32 +37,27 @@ no more cells than the ``2**n`` masks of enumeration, and else enumerates.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterator
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, permutations
+from itertools import accumulate, permutations
 from math import factorial, gcd
-from operator import add
+from operator import add, mul
 
 from .core import IndexKind, IndexVector, QuotaMode, VotingSystem, scale_to_integers
 from .errors import DegenerateSystem, InvalidInput, TooLarge
 
-#: Default ceiling on the player count for the 2**n enumeration engines.
+#: Default ceiling on the player count for the split-count enumeration engines.
 DEFAULT_ENUM_CAP = 24
 
 #: Permutation oracle ceiling (n! blow-up).
 PERM_CAP = 9
 
-# The enumeration engines fold the winning flags of at most 2**_BLOCK_BITS
-# masks at a time, which bounds their memory; the players above the block
-# split the mask range into that many slices.
-_BLOCK_BITS = 20
-
 # The dynamic programs refuse a table of more cells than this before building
 # it: a quota-wide row can otherwise exhaust memory.  A cell is one packed
-# field of b = 8 * (L // 8 + 1) bits for L light players: the table int
-# takes b / 8 bytes per cell, and its decoded prefix sums one int per weight
-# below the quota.
+# field of b = _field_bits(L, rows == 1) bits for L light players: the table
+# int takes b / 8 bytes per cell, its prefix sums one int per weight.
 _DP_CELL_BUDGET = 1 << 23
 
 
@@ -100,33 +95,37 @@ def _require_enumerable(n: int, cap: int) -> None:
         raise InvalidInput(f"{n} players exceeds the enumeration cap of {cap}")
 
 
+# memoryview formats of the field widths, in bytes, that decode without a loop
+_NATIVE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _field_bits(players: int, native: bool) -> int:
+    """Whole bytes, more than ``players`` bits, so no count of up to ``2**players``
+    coalitions carries; ``native``, 8, 16, 32 or 64 bits below 64 players."""
+    if native and players < 64:
+        return 1 << max(3, players.bit_length())
+    return 8 * (players // 8 + 1)
+
+
+def _unpack(data: bytes, width: int) -> Iterable[int]:
+    """The unsigned little-endian ints of ``width`` bytes each that ``data`` holds."""
+    view = memoryview(data)
+    if width in _NATIVE_FORMATS and sys.byteorder == "little":
+        return view.cast(_NATIVE_FORMATS[width])
+    return (int.from_bytes(view[i : i + width], "little") for i in range(0, len(data), width))
+
+
+def _field_dot(packed: int, coef: list[int], fields: int, bits: int) -> int:
+    """``sum_s coef[s]`` times field ``s`` of ``packed``, over its first ``fields`` fields."""
+    return sum(map(mul, coef, _unpack(packed.to_bytes(fields * bits // 8, "little"), bits // 8)))
+
+
 def _subset_sums(weights: list[int]) -> list[int]:
     """The weight of every bit mask over ``weights`` (bit ``i`` is player ``i``)."""
     sums = [0]
     for w in weights:
         sums += [v + w for v in sums]
     return sums
-
-
-def _winning_slices(weights: list[int], qmin: int) -> Iterator[tuple[int, list[bool]]]:
-    """Yield ``(high, flags)``: whether each mask of the block's players wins.
-
-    The block is the first `_BLOCK_BITS` players; ``high`` is a mask of the
-    players above it, who sit in every coalition of its slice, so a block
-    mask wins when it weighs at least ``qmin`` less their weight.  The masks
-    holding the block's last player are compared against that less its
-    weight, so only the subset sums of the block's other players are ever
-    built, and only once; they are freed before the last slice is folded.
-    """
-    *rest, last = weights[:_BLOCK_BITS]
-    sums = _subset_sums(rest)
-    aboves = _subset_sums(weights[_BLOCK_BITS:])
-    for high, above in enumerate(aboves):
-        need = qmin - above
-        flags = [v >= need for v in sums] + [v >= need - last for v in sums]
-        if high == len(aboves) - 1:
-            del sums  # the last slice is folded without them
-        yield high, flags
 
 
 def _fold(values: list) -> tuple[list, int]:
@@ -144,20 +143,26 @@ def _fold(values: list) -> tuple[list, int]:
     return held[::-1], values[0]
 
 
-def _credit(held: list[int], values: list, high: int) -> int:
-    """Add to ``held[i]`` the sum of a slice's ``values`` over its masks holding player ``i``.
+def _winning_counts(weights: list[int], qmin: int, by_size: bool) -> Iterator[tuple[list, int]]:
+    """Yield, for each half of the players in turn, ``(held, total)``: per player
+    of the half, the winning coalitions holding it, and all winning coalitions.
 
-    The block's players get their fold; a player above the block is in every
-    mask of the slice or in none, so it gets the slice's total or nothing.
-    Returns that total.
+    A count is an int or, ``by_size``, a packed int with a `_field_bits` wide
+    field per coalition size.  The other half's subset sums are sorted
+    heaviest first with prefix counts, so for each mask of this half one
+    bisection counts the other half's masks that make it win; shifted by the
+    mask's size, that count is folded over this half's masks.
     """
-    block, total = _fold(values)
-    for i, v in enumerate(block):
-        held[i] += v
-    for i in range(len(block), len(held)):
-        if high >> (i - len(block)) & 1:
-            held[i] += total
-    return total
+    bits = _field_bits(len(weights), native=True) if by_size else 0
+    halves = weights[: len(weights) // 2], weights[len(weights) // 2 :]
+    # a mask's subset sum, and its size shifted to its field
+    masks = [(_subset_sums(half), _subset_sums([bits] * len(half))) for half in halves]
+    for (sums, shifts), (other, other_shifts) in zip(masks, masks[::-1]):
+        heaviest = sorted(range(len(other)), key=other.__getitem__, reverse=True)
+        negated = [-other[m] for m in heaviest]  # ascending, for bisect
+        counts = list(accumulate([1 << other_shifts[m] for m in heaviest], initial=0))
+        values = [counts[bisect_right(negated, v - qmin)] << s for v, s in zip(sums, shifts)]
+        yield _fold(values)
 
 
 def banzhaf_enum(
@@ -168,18 +173,16 @@ def banzhaf_enum(
     Player ``i``'s swings are the winning masks ``m`` holding ``i`` less
     those whose ``m - {i}`` still wins; as ``m -> m - {i}`` pairs the masks
     holding ``i`` with those lacking it, that is the winning masks holding
-    ``i`` less the winning masks lacking it.  One fold of the winning flags
-    gives the first count for every player, a slice of ``2**20`` masks at a
-    time above 20 players.
+    ``i`` less the winning masks lacking it, ``2 * held - total``.
     """
     n = system.n
     _require_enumerable(n, cap)
     weights, qmin = _int_game(system)
     _require_winnable(weights, qmin)
 
-    held, total_winning = [0] * n, 0
-    for high, winning in _winning_slices(weights, qmin):
-        total_winning += _credit(held, winning, high)
+    held = []
+    for part, total_winning in _winning_counts(weights, qmin, by_size=False):
+        held += part
     counts = [2 * c - total_winning for c in held]
     total = sum(counts)
     if total == 0:  # unreachable once the grand coalition wins, kept as a guard
@@ -219,13 +222,13 @@ def ss_enum_perms(system: VotingSystem) -> tuple[PivotCounts, IndexVector]:
 def ss_enum_subsets(system: VotingSystem, *, cap: int = DEFAULT_ENUM_CAP) -> IndexVector:
     """Shapley-Shubik via the subset form from all ``2**n`` coalitions.
 
-    The swing identity is folded once: over winning masks ``m``, player
-    ``i`` gains ``f_with(|m|) = (|m|-1)! (n-|m|)!`` when ``m`` holds ``i``
-    and loses ``f_without(|m|) = |m|! (n-1-|m|)!`` when it does not.  Losing
+    The swing identity, size by size: over winning masks ``m``, player ``i``
+    gains ``f_with(|m|) = (|m|-1)! (n-|m|)!`` when ``m`` holds ``i`` and
+    loses ``f_without(|m|) = |m|! (n-1-|m|)!`` when it does not.  Losing
     ``f_without`` over the masks lacking ``i`` is losing it over all masks
-    and gaining it back over those holding ``i``, so a single fold of
-    ``f_with + f_without`` serves every player, a slice of ``2**20`` masks
-    at a time above 20 players.
+    and gaining it back over those holding ``i``, so player ``i`` gets
+    ``f_with + f_without`` over its winning masks of each size, less
+    ``f_without`` over all of them, both read off `_winning_counts`.
     """
     n = system.n
     _require_enumerable(n, cap)
@@ -238,17 +241,14 @@ def ss_enum_subsets(system: VotingSystem, *, cap: int = DEFAULT_ENUM_CAP) -> Ind
     f_without = [fact[k] * fact[n - 1 - k] for k in range(n)] + [0]
     f_both = list(map(add, f_with, f_without))
 
-    held, lost = [0] * n, 0
-    for high, winning in _winning_slices(weights, qmin):
-        # a slice's masks also hold the players of ``high``: shift the sizes
-        above = high.bit_count()
-        both, without = f_both[above:], f_without[above:]
-        lost += sum(without[m.bit_count()] for m in compress(range(len(winning)), winning))
-        values = [both[m.bit_count()] if won else 0 for m, won in enumerate(winning)]
-        del winning  # keep one slice-sized list alive while folding
-        _credit(held, values, high)
+    bits = _field_bits(n, native=True)
+    held = []
+    for part, total in _winning_counts(weights, qmin, by_size=True):
+        held += part
+    lost = _field_dot(total, f_without, n + 1, bits)
     return IndexVector(
-        IndexKind.SHAPLEY_SHUBIK, tuple([Fraction(v - lost, fact[n]) for v in held])
+        IndexKind.SHAPLEY_SHUBIK,
+        tuple([Fraction(_field_dot(v, f_both, n + 1, bits) - lost, fact[n]) for v in held]),
     )
 
 
@@ -258,10 +258,6 @@ def _table_rows(weights: list[int], qmin: int, by_size: bool) -> tuple[list[int]
     light = sorted(w for w in weights if w < qmin)
     rows = sum(v < qmin for v in accumulate(light, initial=0)) if by_size else 1
     return light, rows
-
-
-# memoryview formats of the column widths, in bytes, that decode without a loop
-_NATIVE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _losing_prefix_sums(
@@ -280,7 +276,7 @@ def _losing_prefix_sums(
     coalition shifted past the last row, which weighs that much; cutting the
     copy rather than the sum keeps at most three table-sized ints alive.  No
     count or prefix sum reaches ``2**(L + 1)`` for ``L`` light players, so
-    fields of ``bits = 8 * (L // 8 + 1)`` never carry into each other.
+    fields of `_field_bits` never carry; a single row's are of native width.
 
     Returns ``(sums, rows, bits)``: ``sums[t]``, ``0 <= t <= qmin``, packs
     the same fields, counting the coalitions of weight below ``t``.
@@ -291,7 +287,7 @@ def _losing_prefix_sums(
             f"the dynamic program needs {rows} x {qmin} table cells, "
             f"over its budget of {_DP_CELL_BUDGET}"
         )
-    bits = 8 * (len(light) // 8 + 1)
+    bits = _field_bits(len(light), native=rows == 1)
     column = rows * bits
     size = qmin * column
     table = 1
@@ -303,15 +299,7 @@ def _losing_prefix_sums(
             table += table << shift
     data = table.to_bytes(size // 8, "little")
     del table  # the decode needs only the bytes
-    width = column // 8
-    view = memoryview(data)
-    if width in _NATIVE_FORMATS and sys.byteorder == "little":
-        columns = view.cast(_NATIVE_FORMATS[width])
-    else:
-        columns = (
-            int.from_bytes(view[i : i + width], "little") for i in range(0, len(data), width)
-        )
-    return list(accumulate(columns, initial=0)), rows, bits
+    return list(accumulate(_unpack(data, column // 8), initial=0)), rows, bits
 
 
 def _peel_points(w: int, qmin: int) -> range:
@@ -349,12 +337,7 @@ def _pivot_weight(
     e = 0
     for t in _peel_points(w, qmin):
         e = sums[t] - (e << bits)
-    window = (sums[qmin] - (e << bits) - e).to_bytes(rows * bits // 8, "little")
-    step = bits // 8
-    return sum(
-        c * int.from_bytes(window[s * step : (s + 1) * step], "little")
-        for s, c in zip(range(rows), coef)
-    )
+    return _field_dot(sums[qmin] - (e << bits) - e, coef, rows, bits)
 
 
 def banzhaf_dp(system: VotingSystem) -> tuple[SwingCounts, IndexVector]:
@@ -443,7 +426,7 @@ def count_winning(
     weights, qmin = _int_game(system)
     if route == "enum":
         _require_enumerable(system.n, cap)
-        return sum(sum(winning) for _, winning in _winning_slices(weights, qmin))
+        return next(_winning_counts(weights, qmin, by_size=False))[1]
     if sum(weights) < qmin:
         return 0  # the grand coalition loses; no table as wide as the quota
     sums, _, _ = _losing_prefix_sums(weights, qmin, by_size=False)

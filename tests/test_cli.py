@@ -175,6 +175,15 @@ class TestIndexCommand:
         assert child.returncode == EXIT_OK, child.stderr
         assert len(json.loads(child.stdout)["banzhaf"]["swings"]) == 17
 
+    def test_24_players_print_the_same_through_either_engine_under_a_memory_cap(self):
+        # integer weights 1..9: a DP table of a few thousand cells, and all
+        # 2**24 coalitions for the split count
+        argv = ("index", "--quota", "60", "--weights", ",".join(str(i % 9 + 1) for i in range(24)))
+        enum = _run_capped(*argv, "--engine", "enum")
+        dp = _run_capped(*argv, "--engine", "dp")
+        assert enum.returncode == dp.returncode == EXIT_OK, enum.stderr + dp.stderr
+        assert enum.stdout == dp.stdout and "winning coalitions: 6375465\n" in enum.stdout
+
     def test_bad_rational(self, capsys):
         code, _, err = run(capsys, "index", "--quota", "3.5", "--weights", "2,1,1")
         assert code == EXIT_USAGE

@@ -23,6 +23,7 @@ from votingpower import (
     scale_to_integers,
     to_rational,
 )
+from votingpower import core
 from conftest import brute_winning
 
 
@@ -232,10 +233,27 @@ class TestNormalize:
         assert all(v == w / total for v, w in zip(out, weights))
 
 
+    def test_off_by_a_hair_is_divided(self):
+        weights = (Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10**30))
+        out = normalize(weights)
+        assert out != weights and sum(out, Fraction(0)) == 1
+
+
+class TestExactSum:
+    @given(st.lists(st.fractions(max_denominator=10**40), max_size=16))
+    def test_matches_fraction_additions(self, values):
+        num, den = core._exact_sum(tuple(values))
+        assert Fraction(num, den) == sum(values, Fraction(0))
+        assert den == lcm(*[v.denominator for v in values])
+
+
 class TestIndexVector:
     def test_validates_sum(self):
         with pytest.raises(InvalidInput):
             IndexVector(IndexKind.BANZHAF, (Fraction(1, 2), Fraction(1, 3)))
+        for hair in (Fraction(1, 10**30), -Fraction(1, 10**30)):
+            with pytest.raises(InvalidInput):
+                IndexVector(IndexKind.BANZHAF, (Fraction(1, 2), Fraction(1, 2) + hair))
 
     def test_validates_range(self):
         with pytest.raises(InvalidInput):

@@ -36,6 +36,7 @@ from conftest import (
     brute_winning,
     random_system,
 )
+import fold_reference
 from list_kernel import prefix_sum_rows, reference_dp
 
 ENGINE_PAIRS = [
@@ -154,9 +155,7 @@ class TestOracleAgreement:
             assert count_winning(s, "enum") == expected
             assert count_winning(s, "dp") == expected
 
-    def test_sliced_fold_matches_brute(self, small_batch, monkeypatch):
-        # a 3-player block splits every game of 4 or more players into slices
-        monkeypatch.setattr(indices, "_BLOCK_BITS", 3)
+    def test_sliced_fold_matches_brute(self, small_batch):
         for s in small_batch:
             winning = brute_count_winning(s)
             assert count_winning(s, "enum") == winning
@@ -166,9 +165,29 @@ class TestOracleAgreement:
             assert list(ss_enum_subsets(s).values) == brute_ss_subsets(s)
 
     def test_sliced_fold_matches_dp_at_21_players(self):
-        # two slices of 2**20 masks; the player above the block weighs 8
+        # halves of 10 and 11 players; the last player weighs 8
         weights = (9, 7, 6, 5, 5, 4, 3, 3, 2, 2, 2, 1, 1, 1, 1, 1, 0, 3, 2, 1, 8)
         s = _system(33, weights, QuotaMode.STRICTLY_EXCEEDS)
+        assert count_winning(s, "enum") == count_winning(s, "dp")
+        assert banzhaf_enum(s) == banzhaf_dp(s)
+        assert ss_enum_subsets(s) == ss_dp(s)
+
+    def test_fold_reference_matches_brute(self, small_batch):
+        # a 3-player block splits every game of 4 or more players into slices
+        for s in small_batch:
+            winning = brute_count_winning(s)
+            assert fold_reference.count_winning(s, block_bits=3) == winning
+            if winning == 0:
+                continue
+            assert fold_reference.swing_counts(s, block_bits=3) == brute_swing_counts(s)
+            assert fold_reference.ss_values(s, block_bits=3) == brute_ss_subsets(s)
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 23, 24])
+    @pytest.mark.parametrize("quota", ["one", "n"])
+    def test_split_matches_dp_at_field_boundaries(self, n, quota):
+        # unit weights fill every size field up to C(n, n // 2); the split's
+        # packed size fields are 8 bits wide up to 7 players, 16 up to 15, then 32
+        s = _system(1 if quota == "one" else n, (1,) * n)
         assert count_winning(s, "enum") == count_winning(s, "dp")
         assert banzhaf_enum(s) == banzhaf_dp(s)
         assert ss_enum_subsets(s) == ss_dp(s)
@@ -483,6 +502,22 @@ class TestKernelBranches:
         assert banzhaf_enum(s) == banzhaf_dp(s)
         assert ss_enum_subsets(s) == ss_dp(s)
 
+    @settings(deadline=None, max_examples=4)
+    @given(
+        st.lists(st.sampled_from(AUTO_PRIMES), min_size=13, max_size=20),
+        st.data(),
+        st.integers(8, 20),
+        st.sampled_from(tuple(QuotaMode)),
+    )
+    def test_split_matches_the_fold_at_13_to_20_players(self, dens, data, block_bits, mode):
+        # prime denominators widen the DP table, and 13-20 players are too many for brute force
+        weights = [Fraction(data.draw(st.integers(1, 2 * p)), p) for p in dens]
+        share = Fraction(data.draw(st.integers(1, 99)), 100)
+        s = VotingSystem(quota=share * sum(weights), mode=mode, weights=tuple(weights))
+        assert count_winning(s, "enum") == fold_reference.count_winning(s, block_bits)
+        assert list(banzhaf_enum(s)[0].per_player) == fold_reference.swing_counts(s, block_bits)
+        assert list(ss_enum_subsets(s).values) == fold_reference.ss_values(s, block_bits)
+
 
 class TestPackedTable:
     """The packed DP table, field by field, against the list kernel.
@@ -491,17 +526,22 @@ class TestPackedTable:
     and one heavy player.  A quota above the light total makes every one of
     the ``2**L`` light coalitions losing, so the last prefix sum is ``2**L``,
     the largest value a field holds: each ``L`` sits at or next to a boundary
-    of the field width ``8 * (L // 8 + 1)``.
+    of the field width, ``8 * (L // 8 + 1)`` by size and 8, 16, 32 or 64 for
+    a single row below 64 light players.
     """
 
     @pytest.mark.parametrize("by_size", [False, True])
-    @pytest.mark.parametrize("light", [7, 8, 9, 15, 16, 17, 63, 64, 65, 70])
+    @pytest.mark.parametrize("light", [7, 8, 9, 15, 16, 17, 31, 32, 63, 64, 65, 70])
     def test_fields_match_the_list_kernel(self, light, by_size):
         weights = [i % 4 for i in range(light)]
         for qmin in (sum(weights) // 2, sum(weights) + 1):
             sums, rows, bits = indices._losing_prefix_sums(weights + [qmin], qmin, by_size)
             reference = prefix_sum_rows(weights + [qmin], qmin, by_size)
             assert bits % 8 == 0 and bits > light
+            if not by_size and light < 64:  # one row: a native column width
+                assert bits == min(w for w in (8, 16, 32, 64) if w > light)
+            else:
+                assert bits == 8 * (light // 8 + 1)
             assert rows == len(reference) and len(sums) == qmin + 1
             field = (1 << bits) - 1
             for t, packed in enumerate(sums):
