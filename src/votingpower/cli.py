@@ -14,8 +14,9 @@ Subcommands:
   the paper's claims from scratch, and report PASS/FAIL per check.
 
 Exit codes: 0 success, 1 a verified check failed, 2 bad usage, malformed
-input, an ``--out`` file that cannot be written or a table over its budget,
-3 the requested system is degenerate, 141 stdout was closed (as on ``SIGPIPE``).
+input, an ``--out`` file that cannot be written, a table over its budget or a
+sieve limit over `divisor.SIEVE_LIMIT`, 3 the requested system is degenerate,
+141 stdout was closed (as on ``SIGPIPE``).
 
 The argument parser is built once per process, on the first `main` call, and
 reused by every later call.
@@ -42,7 +43,13 @@ from .core import (
     parse_rational,
     scale_to_integers,
 )
-from .divisor import DisagreementReport, disagreement_report, scan_abundant, write_scan_report
+from .divisor import (
+    SIEVE_LIMIT,
+    DisagreementReport,
+    disagreement_report,
+    scan_abundant,
+    write_scan_report,
+)
 from .errors import (
     DegenerateSystem,
     InvalidCoalition,
@@ -512,7 +519,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("divisor", help="divisor-weighted majority game of n")
     p.add_argument("n", nargs="?", type=int, help="the integer whose divisors vote")
-    p.add_argument("--scan", type=int, metavar="LIMIT", help="census of abundant n <= LIMIT")
+    p.add_argument(
+        "--scan",
+        type=int,
+        metavar="LIMIT",
+        help=f"census of abundant n <= LIMIT; LIMIT over {SIEVE_LIMIT} exits 2",
+    )
     p.add_argument("--divisors", type=int, help="restrict the scan to this divisor count")
     p.add_argument(
         "--formulas",
@@ -586,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-n",
         type=int,
         default=1000,
-        help="upper bound for the census-style suites",
+        help=f"upper bound for the census-style suites; over {SIEVE_LIMIT} exits 2",
     )
     p.add_argument("--n", type=int, help="prime-multiple suite: use this base only")
     p.add_argument("--p", type=int, default=31, help="prime-multiple suite: first prime")

@@ -101,9 +101,10 @@ class VotingSystem:
         object.__setattr__(self, "weights", tuple([to_rational(w) for w in self.weights]))
         if not self.weights:
             raise InvalidInput("a voting system needs at least one player")
-        if any(w < 0 for w in self.weights):
+        # every value is a Fraction: its sign is its numerator's, with no Fraction comparison
+        if any(w.numerator < 0 for w in self.weights):
             raise InvalidInput("weights must be non-negative")
-        if self.quota <= 0:
+        if self.quota.numerator <= 0:
             raise InvalidInput("quota must be positive")
         if not isinstance(self.mode, QuotaMode):
             raise InvalidInput(f"mode must be a QuotaMode, got {self.mode!r}")
@@ -197,7 +198,7 @@ def normalize(weights: Iterable[Fraction]) -> tuple[Fraction, ...]:
     ws = tuple([to_rational(w) for w in weights])
     if not ws:
         raise InvalidInput("empty weight vector")
-    if any(w < 0 for w in ws):
+    if any(w.numerator < 0 for w in ws):
         raise InvalidInput("weights must be non-negative")
     num, den = _exact_sum(ws)
     if num == 0:
@@ -217,7 +218,7 @@ class IndexVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple([to_rational(v) for v in self.values]))
-        if any(not 0 <= v <= 1 for v in self.values):
+        if any(v.numerator < 0 or v.numerator > v.denominator for v in self.values):
             raise InvalidInput("index entries must lie in [0, 1]")
         num, den = _exact_sum(self.values)
         if num != den:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import IO, Callable, Iterable
 
 from .core import IndexVector, QuotaMode, VotingSystem
-from .errors import InvalidInput, InvariantViolation, PreconditionFailed, UnsupportedCase
+from .errors import InvalidInput, InvariantViolation, PreconditionFailed, TooLarge, UnsupportedCase
 from .indices import banzhaf, count_winning, shapley_shubik
 
 
@@ -54,10 +54,20 @@ def abundance_class(n: int) -> str:
     return "perfect" if excess == 0 else "abundant"
 
 
+#: Largest ``limit`` that `sigma_range` sieves.  Its list holds an int per n:
+#: about 0.5 GB at this bound, where 10**9 would need gigabytes.
+SIEVE_LIMIT = 10**7
+
+
 def sigma_range(limit: int) -> list[int]:
-    """``sigma(n)`` for every ``n`` from 1 to ``limit`` via a divisor sieve."""
+    """``sigma(n)`` for every ``n`` from 1 to ``limit`` via a divisor sieve.
+
+    Raises `TooLarge` for a limit over `SIEVE_LIMIT`, before allocating.
+    """
     if limit < 1:
         raise InvalidInput("limit must be positive")
+    if limit > SIEVE_LIMIT:
+        raise TooLarge(f"limit {limit} is over the divisor sieve's bound of {SIEVE_LIMIT}")
     sig = [0] * (limit + 1)
     for d in range(1, limit + 1):
         for m in range(d, limit + 1, d):
@@ -287,19 +297,6 @@ class PrimeMultipleComparison:
     equal: bool
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def compare_prime_multiples(n: int, p: int, q: int) -> PrimeMultipleComparison:
     """Count winning coalitions for the divisor systems of ``n*p`` and ``n*q``.
 
@@ -311,7 +308,7 @@ def compare_prime_multiples(n: int, p: int, q: int) -> PrimeMultipleComparison:
     agree; ``equal`` records whether they actually do.
     """
     for r in (p, q):
-        if not _is_prime(r):
+        if r < 2 or divisors_of(r) != (r, 1):
             raise PreconditionFailed(f"{r} is not prime")
         if r <= n:
             raise PreconditionFailed(f"prime {r} must exceed {n}")

@@ -1,6 +1,12 @@
 """Power-index engines: enumeration oracles and generating-function dynamic programs.
 
-Three interchangeable routes compute the same exact answers:
+Both indices count swings.  Player ``i``'s swing window holds, per size
+``s``, the losing coalitions of ``s`` other players that win once ``i``
+joins.  Banzhaf divides a player's window total by the sum over all players;
+Shapley-Shubik weighs size ``s`` by ``s! (n-1-s)! / n!``.  Both engines yield
+one window per player, a count for Banzhaf and, for Shapley-Shubik, a packed
+int of one `_field_bits` wide field per size; `_banzhaf_index` and
+`_ss_index` finish the indices from the windows.
 
 * ``ss_enum_perms`` walks all ``n!`` orderings — the ground-truth oracle for
   the Shapley-Shubik index, practical only for small ``n``.
@@ -8,11 +14,12 @@ Three interchangeable routes compute the same exact answers:
   count all ``2**n`` coalitions from two halves of the players (Klinz and
   Woeginger's split), in about ``n * 2**(n/2)`` steps: one bisection per
   mask of one half into the other half's sorted subset sums, then a halving
-  fold over the half's masks.  By the swing identity, player ``i``'s tally
-  is the sum of ``f_with`` over winning coalitions holding ``i`` minus the
-  sum of ``f_without`` over winning coalitions lacking it.  For
-  Banzhaf both are 1; for Shapley-Shubik they are ``(|m|-1)! (n-|m|)!`` and
-  ``|m|! (n-1-|m|)!`` (out of ``n!``).
+  fold over the half's masks.  That gives, by size, the winning coalitions
+  ``held`` that hold ``i`` and all of them, ``total``.  Of the coalitions of
+  ``s`` others, ``held[s+1]`` win with ``i`` and ``total[s] - held[s]`` win
+  without it, so the window is ``(held >> bits) + held - total`` packed:
+  every field a count, nothing borrows, and ``bits = 0`` gives Banzhaf's
+  ``2 * held - total``.
 * ``banzhaf_dp`` / ``ss_dp`` / ``count_winning(engine="dp")`` share one
   dynamic-programming kernel.  It expands ``prod_j (1 + y x**w_j)`` (``y``
   marking coalition size, for Shapley-Shubik only) over the players lighter
@@ -23,8 +30,9 @@ Three interchangeable routes compute the same exact answers:
   ``L`` light players, wider than any count.  A player's factor is
   a shift and an add of that int, run in C.  Player ``i`` is then
   peeled off with the alternating chain ``E_s(<t) = P_s(<t) - E_{s-1}(<t - w_i)``,
-  which visits about ``q / w_i`` points; players of equal weight share one
-  peel.  Pseudo-polynomial in the quota, so dozens of players are fine when
+  which visits about ``q / w_i`` points, and its window is what weighs
+  ``q - w_i`` to ``q - 1``; players of equal weight share one peel.
+  Pseudo-polynomial in the quota, so dozens of players are fine when
   weights are modest integers; a table of more than ``2**23`` cells is
   refused with `TooLarge` before it is built.
 
@@ -41,6 +49,7 @@ from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, permutations
 from math import factorial, gcd
 from operator import add, mul
@@ -165,30 +174,43 @@ def _winning_counts(weights: list[int], qmin: int, by_size: bool) -> Iterator[tu
         yield _fold(values)
 
 
-def banzhaf_enum(
-    system: VotingSystem, *, cap: int = DEFAULT_ENUM_CAP
-) -> tuple[SwingCounts, IndexVector]:
-    """Banzhaf swing counts and index from all ``2**n`` coalitions.
-
-    Player ``i``'s swings are the winning masks ``m`` holding ``i`` less
-    those whose ``m - {i}`` still wins; as ``m -> m - {i}`` pairs the masks
-    holding ``i`` with those lacking it, that is the winning masks holding
-    ``i`` less the winning masks lacking it, ``2 * held - total``.
-    """
-    n = system.n
-    _require_enumerable(n, cap)
-    weights, qmin = _int_game(system)
-    _require_winnable(weights, qmin)
-
-    held = []
-    for part, total_winning in _winning_counts(weights, qmin, by_size=False):
-        held += part
-    counts = [2 * c - total_winning for c in held]
+def _banzhaf_index(counts: list[int]) -> tuple[SwingCounts, IndexVector]:
+    """Banzhaf swing counts and index from each player's swing count."""
     total = sum(counts)
     if total == 0:  # unreachable once the grand coalition wins, kept as a guard
         raise DegenerateSystem("no player is ever critical")
     index = IndexVector(IndexKind.BANZHAF, tuple([Fraction(c, total) for c in counts]))
     return SwingCounts(tuple(counts), total), index
+
+
+def _ss_index(windows: list[int], fields: int, bits: int) -> IndexVector:
+    """Shapley-Shubik from each player's window of ``fields`` sizes, ``bits`` each,
+    weighed once per distinct window (players of equal weight share one)."""
+    n = len(windows)
+    fact = [factorial(i) for i in range(n + 1)]
+    coef = [fact[s] * fact[n - 1 - s] for s in range(fields)]
+    values = {v: Fraction(_field_dot(v, coef, fields, bits), fact[n]) for v in set(windows)}
+    return IndexVector(IndexKind.SHAPLEY_SHUBIK, tuple([values[v] for v in windows]))
+
+
+def _enum_windows(system: VotingSystem, cap: int, by_size: bool) -> tuple[list[int], int, int]:
+    """Per player, the window ``(held >> bits) + held - total`` off `_winning_counts`
+    (see above); and the windows' field count and width."""
+    _require_enumerable(system.n, cap)
+    weights, qmin = _int_game(system)
+    _require_winnable(weights, qmin)
+    bits = _field_bits(len(weights), native=True) if by_size else 0
+    held = []
+    for part, total in _winning_counts(weights, qmin, by_size):
+        held += part
+    return [(h >> bits) + h - total for h in held], system.n, bits
+
+
+def banzhaf_enum(
+    system: VotingSystem, *, cap: int = DEFAULT_ENUM_CAP
+) -> tuple[SwingCounts, IndexVector]:
+    """Banzhaf swing counts and index from all ``2**n`` coalitions."""
+    return _banzhaf_index(_enum_windows(system, cap, by_size=False)[0])
 
 
 def ss_enum_perms(system: VotingSystem) -> tuple[PivotCounts, IndexVector]:
@@ -220,36 +242,8 @@ def ss_enum_perms(system: VotingSystem) -> tuple[PivotCounts, IndexVector]:
 
 
 def ss_enum_subsets(system: VotingSystem, *, cap: int = DEFAULT_ENUM_CAP) -> IndexVector:
-    """Shapley-Shubik via the subset form from all ``2**n`` coalitions.
-
-    The swing identity, size by size: over winning masks ``m``, player ``i``
-    gains ``f_with(|m|) = (|m|-1)! (n-|m|)!`` when ``m`` holds ``i`` and
-    loses ``f_without(|m|) = |m|! (n-1-|m|)!`` when it does not.  Losing
-    ``f_without`` over the masks lacking ``i`` is losing it over all masks
-    and gaining it back over those holding ``i``, so player ``i`` gets
-    ``f_with + f_without`` over its winning masks of each size, less
-    ``f_without`` over all of them, both read off `_winning_counts`.
-    """
-    n = system.n
-    _require_enumerable(n, cap)
-    weights, qmin = _int_game(system)
-    _require_winnable(weights, qmin)
-    fact = [factorial(i) for i in range(n + 1)]
-    # The empty mask never wins; the full mask holds every player, so its
-    # f_without cancels and may be 0.
-    f_with = [0] + [fact[k - 1] * fact[n - k] for k in range(1, n + 1)]
-    f_without = [fact[k] * fact[n - 1 - k] for k in range(n)] + [0]
-    f_both = list(map(add, f_with, f_without))
-
-    bits = _field_bits(n, native=True)
-    held = []
-    for part, total in _winning_counts(weights, qmin, by_size=True):
-        held += part
-    lost = _field_dot(total, f_without, n + 1, bits)
-    return IndexVector(
-        IndexKind.SHAPLEY_SHUBIK,
-        tuple([Fraction(_field_dot(v, f_both, n + 1, bits) - lost, fact[n]) for v in held]),
-    )
+    """Shapley-Shubik from all ``2**n`` coalitions, counted by size."""
+    return _ss_index(*_enum_windows(system, cap, by_size=True))
 
 
 def _table_rows(weights: list[int], qmin: int, by_size: bool) -> tuple[list[int], int]:
@@ -321,10 +315,8 @@ def _swings(sums: list[int], w: int, qmin: int) -> int:
     return sums[qmin] - 2 * e
 
 
-def _pivot_weight(
-    sums: list[int], w: int, qmin: int, coef: list[int], rows: int, bits: int
-) -> int:
-    """``sum_s coef[s]`` times the coalitions of ``s`` other players in the swing window.
+def _size_window(sums: list[int], w: int, qmin: int, bits: int) -> int:
+    """The coalitions of the other players in the swing window, packed by size.
 
     As `_swings`, size by size, on the packed rows of `_losing_prefix_sums`:
     ``E_s(<t) = P_s(<t) - E_{s-1}(<t - w)`` is one shift of ``E`` by a field,
@@ -337,49 +329,28 @@ def _pivot_weight(
     e = 0
     for t in _peel_points(w, qmin):
         e = sums[t] - (e << bits)
-    return _field_dot(sums[qmin] - (e << bits) - e, coef, rows, bits)
+    return sums[qmin] - (e << bits) - e
+
+
+def _dp_windows(system: VotingSystem, by_size: bool) -> tuple[list[int], int, int]:
+    """Per player, the swing window peeled off the DP table (one peel per distinct
+    nonzero weight; a zero weight swings nothing); and the table's rows and field width."""
+    weights, qmin = _int_game(system)
+    _require_winnable(weights, qmin)
+    sums, rows, bits = _losing_prefix_sums(weights, qmin, by_size)
+    peel = partial(_size_window, bits=bits) if by_size else _swings
+    peeled = {w: peel(sums, w, qmin) for w in set(weights) if w}
+    return [peeled.get(w, 0) for w in weights], rows, bits
 
 
 def banzhaf_dp(system: VotingSystem) -> tuple[SwingCounts, IndexVector]:
-    """Banzhaf counts from the subset-weight generating function.
-
-    Expands ``prod_j (1 + x**w_j)`` over the players lighter than the quota,
-    below the quota only, then peels each distinct weight off by the
-    alternating prefix-sum chain to count the other players' coalitions in the
-    swing window ``qmin - w_i <= weight <= qmin - 1``.
-    """
-    weights, qmin = _int_game(system)
-    _require_winnable(weights, qmin)
-    sums, _, _ = _losing_prefix_sums(weights, qmin, by_size=False)
-    peeled = {w: _swings(sums, w, qmin) for w in set(weights) if w}
-    counts = [peeled.get(w, 0) for w in weights]
-
-    swings = sum(counts)
-    if swings == 0:
-        raise DegenerateSystem("no player is ever critical")
-    index = IndexVector(IndexKind.BANZHAF, tuple([Fraction(c, swings) for c in counts]))
-    return SwingCounts(tuple(counts), swings), index
+    """Banzhaf counts from the subset-weight generating function ``prod_j (1 + x**w_j)``."""
+    return _banzhaf_index(_dp_windows(system, by_size=False)[0])
 
 
 def ss_dp(system: VotingSystem) -> IndexVector:
-    """Shapley-Shubik from the joint (cardinality, weight) generating function.
-
-    Counts how many coalitions of the players lighter than the quota have
-    each size and each weight below the quota, peels each distinct weight off
-    by the alternating prefix-sum chain, and weighs each swing bucket of size
-    ``s`` by ``s! (n-1-s)! / n!``.
-    """
-    weights, qmin = _int_game(system)
-    _require_winnable(weights, qmin)
-    n = len(weights)
-    fact = [factorial(i) for i in range(n + 1)]
-    coef = [fact[s] * fact[n - 1 - s] for s in range(n)]
-    sums, rows, bits = _losing_prefix_sums(weights, qmin, by_size=True)
-    peeled = {w: _pivot_weight(sums, w, qmin, coef, rows, bits) for w in set(weights) if w}
-    return IndexVector(
-        IndexKind.SHAPLEY_SHUBIK,
-        tuple([Fraction(peeled.get(w, 0), fact[n]) for w in weights]),
-    )
+    """Shapley-Shubik from the joint (cardinality, weight) generating function."""
+    return _ss_index(*_dp_windows(system, by_size=True))
 
 
 def _pick_engine(system: VotingSystem, engine: str, cap: int, by_size: bool) -> str:

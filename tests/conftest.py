@@ -66,6 +66,19 @@ def brute_ss(system: VotingSystem) -> list[Fraction]:
     return [Fraction(c, factorial(system.n)) for c in counts]
 
 
+def brute_size_windows(system: VotingSystem) -> list[list[int]]:
+    """Per player ``i`` and size ``s``: the losing coalitions of ``s`` other
+    players that win once ``i`` joins them."""
+    windows = [[0] * system.n for _ in range(system.n)]
+    for coalition in all_coalitions(system.n):
+        if brute_winning(system, coalition):
+            continue
+        for i in range(system.n):
+            if i not in coalition and brute_winning(system, coalition | {i}):
+                windows[i][len(coalition)] += 1
+    return windows
+
+
 def brute_count_winning(system: VotingSystem) -> int:
     return sum(1 for c in all_coalitions(system.n) if brute_winning(system, c))
 

@@ -1,9 +1,10 @@
 """The generating-function DP with its table as Python lists: the reference for the packed kernel.
 
 `prefix_sum_rows` expands ``prod_j (1 + y x**w_j)`` one list element at a
-time, one list per size row, and `pivot_weight` peels a weight off those
-rows one size at a time.  `indices` packs the same table into one int; the
-tests compare the two field by field and answer by answer.
+time, one list per size row.  `swings` peels a weight off the single row at
+every weight below the quota, and `pivot_weight` off the size rows one size
+at a time.  `indices` packs the same table into one int; the tests compare
+the two field by field and answer by answer.
 """
 
 from __future__ import annotations
@@ -38,6 +39,18 @@ def prefix_sum_rows(weights: list[int], qmin: int, by_size: bool) -> list[list[i
     return [list(accumulate(row, initial=0)) for row in rows]
 
 
+def swings(row: list[int], w: int, qmin: int) -> int:
+    """Coalitions of the other players that weigh ``qmin - w`` to ``qmin - 1``.
+
+    ``E(<t) = P(<t) - E(<t - w)`` at every ``t`` up to ``qmin``, from the
+    lightest; ``E(<t)`` is 0 for ``t <= 0``.
+    """
+    e = [0] * (qmin + 1)
+    for t in range(1, qmin + 1):
+        e[t] = row[t] - (e[t - w] if t > w else 0)
+    return e[qmin] - e[max(qmin - w, 0)]
+
+
 def pivot_weight(rows: list[list[int]], w: int, qmin: int, coef: list[int]) -> int:
     """``sum_s coef[s]`` times the coalitions of ``s`` other players in the swing window."""
     e = [0] * len(rows)
@@ -53,13 +66,13 @@ def reference_dp(system: VotingSystem) -> tuple[int, list[int], list[Fraction]]:
     weights, qmin = indices._int_game(system)
     n = len(weights)
     (sums,) = prefix_sum_rows(weights, qmin, by_size=False)
-    swings = {w: indices._swings(sums, w, qmin) for w in set(weights) if w}
+    peeled = {w: swings(sums, w, qmin) for w in set(weights) if w}
     fact = [factorial(i) for i in range(n + 1)]
     coef = [fact[s] * fact[n - 1 - s] for s in range(n)]
     rows = prefix_sum_rows(weights, qmin, by_size=True)
     pivots = {w: pivot_weight(rows, w, qmin, coef) for w in set(weights) if w}
     return (
         (1 << n) - sums[qmin],
-        [swings.get(w, 0) for w in weights],
+        [peeled.get(w, 0) for w in weights],
         [Fraction(pivots.get(w, 0), fact[n]) for w in weights],
     )

@@ -605,6 +605,26 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         assert run(capsys, "verify", "nonsense")[0] == EXIT_USAGE
 
+    def test_census_past_its_table_reports_findings(self, capsys):
+        code, out, _ = run(capsys, "verify", "prop22census", "--limit", "2000")
+        assert code == EXIT_OK and ", 0 failed" in out
+        assert "FINDING excess=2 witness n=1952:" in out
+        assert "FINDING excess=4 witness n=1888:" in out
+        assert "PASS    excess=4 witnesses up to 1000: found [12, 70, 88]" in out
+
+
+# a divisor sieve over 10**9 numbers needs gigabytes: refused before it is allocated
+@pytest.mark.parametrize(
+    "argv",
+    [("divisor", "--scan", "1000000000"), ("verify", "prop22census", "--limit", "1000000000")],
+    ids=["scan", "census"],
+)
+def test_oversized_sieve_is_refused_under_a_memory_cap(argv):
+    child = _run_capped(*argv)
+    assert child.returncode == EXIT_USAGE and child.stdout == ""
+    assert child.stderr.startswith("error:") and child.stderr.count("\n") == 1
+    assert "Traceback" not in child.stderr
+
 
 def _child_env(*path_dirs):
     """Environment for a child process that imports the package under test.

@@ -15,6 +15,7 @@ from votingpower import (
     PreconditionFailed,
     QuotaMode,
     SCAN_CSV_COLUMNS,
+    TooLarge,
     UnsupportedCase,
     abundance_class,
     case_prediction,
@@ -61,6 +62,10 @@ class TestArithmetic:
     def test_sigma_range_rejects_bad_limit(self):
         with pytest.raises(InvalidInput):
             sigma_range(0)
+
+    def test_sigma_range_refuses_a_limit_over_its_bound(self):
+        with pytest.raises(TooLarge, match="bound of 10000000"):
+            sigma_range(divisor.SIEVE_LIMIT + 1)
 
 
 class TestDivisorSystem:
@@ -236,11 +241,16 @@ class TestPrimeMultiples:
         with pytest.raises(PreconditionFailed):
             compare_prime_multiples(6, 31, 31)  # must be distinct
 
+    @pytest.mark.parametrize("r", [-7, 0, 1, 4, 9, 91, 961])
+    def test_a_non_prime_is_named(self, r):
+        with pytest.raises(PreconditionFailed, match=rf"^{r} is not prime$"):
+            compare_prime_multiples(6, 31, r)
+
     def test_divisor_split_is_checked(self, monkeypatch):
         true_divisors = divisors_of
 
-        def missing_one(n):
-            return true_divisors(n)[:-1] if n % 31 == 0 else true_divisors(n)
+        def missing_one(n):  # only the product: the primality check reads 31's divisors
+            return true_divisors(n)[:-1] if n == 6 * 31 else true_divisors(n)
 
         monkeypatch.setattr(divisor, "divisors_of", missing_one)
         with pytest.raises(InvariantViolation, match=r"6\*31"):

@@ -31,6 +31,7 @@ from conftest import (
     brute_banzhaf,
     brute_count_winning,
     brute_pivot_counts,
+    brute_size_windows,
     brute_ss,
     brute_swing_counts,
     brute_winning,
@@ -517,6 +518,35 @@ class TestKernelBranches:
         assert count_winning(s, "enum") == fold_reference.count_winning(s, block_bits)
         assert list(banzhaf_enum(s)[0].per_player) == fold_reference.swing_counts(s, block_bits)
         assert list(ss_enum_subsets(s).values) == fold_reference.ss_values(s, block_bits)
+
+
+class TestSwingWindows:
+    """Both engines' swing windows, decoded size by size, against a brute-force count."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(kernel_games(max_n=10))
+    @example(_system(4, (3, 3, 1, 1, 1)))  # tied weights share a window
+    @example(_system(3, (2, 0, 1, 0)))  # zero-weight players
+    @example(_system(5, (7, 5, 2, 1)))  # players at and above the quota
+    @example(_system(9, (2, 1, 0)))  # the grand coalition loses
+    def test_windows_match_brute(self, s):
+        engines = [
+            lambda by_size: indices._enum_windows(s, DEFAULT_ENUM_CAP, by_size),
+            lambda by_size: indices._dp_windows(s, by_size),
+        ]
+        if brute_count_winning(s) == 0:
+            for engine in engines:
+                with pytest.raises(DegenerateSystem):
+                    engine(True)
+            return
+        expected = brute_size_windows(s)
+        for engine in engines:
+            windows, fields, bits = engine(True)
+            assert fields <= s.n and bits % 8 == 0
+            assert all(0 <= v < 1 << fields * bits for v in windows)
+            field = (1 << bits) - 1
+            assert [[v >> k * bits & field for k in range(s.n)] for v in windows] == expected
+            assert engine(False)[0] == [sum(sizes) for sizes in expected]
 
 
 class TestPackedTable:
