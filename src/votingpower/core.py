@@ -14,6 +14,7 @@ the system's mode: ``MEETS_OR_EXCEEDS`` (total >= quota) or
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -39,7 +40,11 @@ def parse_rational(text: str) -> Fraction:
     cleaned = text.strip()
     if not _RATIONAL_RE.match(cleaned):
         raise InvalidInput(f"not a rational number: {text!r} (expected 'p' or 'p/q')")
-    return Fraction(cleaned)
+    try:
+        return Fraction(cleaned)
+    except ValueError as exc:  # a part past Python's digit limit for int conversion
+        limit = sys.get_int_max_str_digits()
+        raise InvalidInput(f"number too long: over {limit} digits in {cleaned[:20]}...") from exc
 
 
 def format_rational(value: Fraction) -> str:

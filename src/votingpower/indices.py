@@ -36,10 +36,12 @@ int of one `_field_bits` wide field per size; `_banzhaf_index` and
   weights are modest integers; a table of more than ``2**23`` cells is
   refused with `TooLarge` before it is built.
 
-Every engine but the permutation oracle reads `_int_game`: the weights scaled
-to integers and divided by their gcd.  ``engine="auto"``, every caller's route,
-runs the DP above the enumeration cap or when its table fits its budget with
-no more cells than the ``2**n`` masks of enumeration, and else enumerates.
+Every engine call, but the permutation oracle's, scales and routes the game
+once, in `_route`: `_int_game` gives the weights scaled to integers and
+divided by their gcd, and the engine runs on them.  ``engine="auto"``, every
+caller's route, runs the DP above the enumeration cap or when its table fits
+its budget with no more cells than the ``2**n`` masks of enumeration, and
+else enumerates.
 """
 
 from __future__ import annotations
@@ -97,11 +99,6 @@ def _int_game(system: VotingSystem) -> tuple[list[int], int]:
 def _require_winnable(weights: list[int], qmin: int) -> None:
     if sum(weights) < qmin:
         raise DegenerateSystem("grand coalition loses: no winning coalition exists")
-
-
-def _require_enumerable(n: int, cap: int) -> None:
-    if n > cap:
-        raise InvalidInput(f"{n} players exceeds the enumeration cap of {cap}")
 
 
 # memoryview formats of the field widths, in bytes, that decode without a loop
@@ -193,24 +190,11 @@ def _ss_index(windows: list[int], fields: int, bits: int) -> IndexVector:
     return IndexVector(IndexKind.SHAPLEY_SHUBIK, tuple([values[v] for v in windows]))
 
 
-def _enum_windows(system: VotingSystem, cap: int, by_size: bool) -> tuple[list[int], int, int]:
-    """Per player, the window ``(held >> bits) + held - total`` off `_winning_counts`
-    (see above); and the windows' field count and width."""
-    _require_enumerable(system.n, cap)
-    weights, qmin = _int_game(system)
-    _require_winnable(weights, qmin)
-    bits = _field_bits(len(weights), native=True) if by_size else 0
-    held = []
-    for part, total in _winning_counts(weights, qmin, by_size):
-        held += part
-    return [(h >> bits) + h - total for h in held], system.n, bits
-
-
 def banzhaf_enum(
     system: VotingSystem, *, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[SwingCounts, IndexVector]:
     """Banzhaf swing counts and index from all ``2**n`` coalitions."""
-    return _banzhaf_index(_enum_windows(system, cap, by_size=False)[0])
+    return _banzhaf_index(_windows(system, "enum", cap, by_size=False)[0])
 
 
 def ss_enum_perms(system: VotingSystem) -> tuple[PivotCounts, IndexVector]:
@@ -243,7 +227,7 @@ def ss_enum_perms(system: VotingSystem) -> tuple[PivotCounts, IndexVector]:
 
 def ss_enum_subsets(system: VotingSystem, *, cap: int = DEFAULT_ENUM_CAP) -> IndexVector:
     """Shapley-Shubik from all ``2**n`` coalitions, counted by size."""
-    return _ss_index(*_enum_windows(system, cap, by_size=True))
+    return _ss_index(*_windows(system, "enum", cap, by_size=True))
 
 
 def _table_rows(weights: list[int], qmin: int, by_size: bool) -> tuple[list[int], int]:
@@ -332,56 +316,65 @@ def _size_window(sums: list[int], w: int, qmin: int, bits: int) -> int:
     return sums[qmin] - (e << bits) - e
 
 
-def _dp_windows(system: VotingSystem, by_size: bool) -> tuple[list[int], int, int]:
-    """Per player, the swing window peeled off the DP table (one peel per distinct
-    nonzero weight; a zero weight swings nothing); and the table's rows and field width."""
+def banzhaf_dp(system: VotingSystem) -> tuple[SwingCounts, IndexVector]:
+    """Banzhaf counts from the subset-weight generating function ``prod_j (1 + x**w_j)``."""
+    return _banzhaf_index(_windows(system, "dp", DEFAULT_ENUM_CAP, by_size=False)[0])
+
+
+def ss_dp(system: VotingSystem) -> IndexVector:
+    """Shapley-Shubik from the joint (cardinality, weight) generating function."""
+    return _ss_index(*_windows(system, "dp", DEFAULT_ENUM_CAP, by_size=True))
+
+
+def _route(
+    system: VotingSystem, engine: str, cap: int, by_size: bool
+) -> tuple[str, list[int], int]:
+    """``engine``, or the pick for "auto" (see above), with the game scaled once by
+    `_int_game`; "enum" over ``cap`` is refused first, and a losing game takes the DP."""
+    if engine not in ("enum", "dp", "auto"):
+        raise InvalidInput(f"unknown engine {engine!r} (expected enum, dp or auto)")
+    if engine == "enum" and system.n > cap:
+        raise InvalidInput(f"{system.n} players exceeds the enumeration cap of {cap}")
     weights, qmin = _int_game(system)
+    if engine == "auto" and system.n <= cap and sum(weights) >= qmin:
+        cells = _table_rows(weights, qmin, by_size)[1] * qmin
+        engine = "dp" if cells <= min(1 << system.n, _DP_CELL_BUDGET) else "enum"
+    return ("dp" if engine == "auto" else engine), weights, qmin
+
+
+def _windows(
+    system: VotingSystem, engine: str, cap: int, by_size: bool
+) -> tuple[list[int], int, int]:
+    """Per player, the swing window of the routed engine; and the windows' field count
+    and width.  Enumeration's is ``(held >> bits) + held - total`` off
+    `_winning_counts` (see above); the DP's is peeled off its table, one peel
+    per distinct nonzero weight (a zero weight swings nothing)."""
+    engine, weights, qmin = _route(system, engine, cap, by_size)
     _require_winnable(weights, qmin)
+    if engine == "enum":
+        bits = _field_bits(len(weights), native=True) if by_size else 0
+        held = []
+        for part, total in _winning_counts(weights, qmin, by_size):
+            held += part
+        return [(h >> bits) + h - total for h in held], system.n, bits
     sums, rows, bits = _losing_prefix_sums(weights, qmin, by_size)
     peel = partial(_size_window, bits=bits) if by_size else _swings
     peeled = {w: peel(sums, w, qmin) for w in set(weights) if w}
     return [peeled.get(w, 0) for w in weights], rows, bits
 
 
-def banzhaf_dp(system: VotingSystem) -> tuple[SwingCounts, IndexVector]:
-    """Banzhaf counts from the subset-weight generating function ``prod_j (1 + x**w_j)``."""
-    return _banzhaf_index(_dp_windows(system, by_size=False)[0])
-
-
-def ss_dp(system: VotingSystem) -> IndexVector:
-    """Shapley-Shubik from the joint (cardinality, weight) generating function."""
-    return _ss_index(*_dp_windows(system, by_size=True))
-
-
-def _pick_engine(system: VotingSystem, engine: str, cap: int, by_size: bool) -> str:
-    """``engine``, or the pick for "auto" (see above); a losing game takes the DP no table."""
-    if engine in ("enum", "dp"):
-        return engine
-    if engine != "auto":
-        raise InvalidInput(f"unknown engine {engine!r} (expected enum, dp or auto)")
-    if system.n > cap:
-        return "dp"
-    weights, qmin = _int_game(system)
-    cells = _table_rows(weights, qmin, by_size)[1] * qmin if sum(weights) >= qmin else 0
-    return "dp" if cells <= min(1 << system.n, _DP_CELL_BUDGET) else "enum"
-
-
 def banzhaf(
     system: VotingSystem, engine: str = "auto", *, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[SwingCounts, IndexVector]:
     """Banzhaf counts and index through the chosen engine (enum, dp or auto)."""
-    if _pick_engine(system, engine, cap, by_size=False) == "enum":
-        return banzhaf_enum(system, cap=cap)
-    return banzhaf_dp(system)
+    return _banzhaf_index(_windows(system, engine, cap, by_size=False)[0])
 
 
 def shapley_shubik(
     system: VotingSystem, engine: str = "auto", *, cap: int = DEFAULT_ENUM_CAP
 ) -> IndexVector:
     """Shapley-Shubik index through the chosen engine (enum, dp or auto)."""
-    if _pick_engine(system, engine, cap, by_size=True) == "enum":
-        return ss_enum_subsets(system, cap=cap)
-    return ss_dp(system)
+    return _ss_index(*_windows(system, engine, cap, by_size=True))
 
 
 def count_winning(
@@ -393,10 +386,8 @@ def count_winning(
     the quota, and subtracts them from ``2**n``; it answers 0 at once when
     the grand coalition loses.
     """
-    route = _pick_engine(system, engine, cap, by_size=False)
-    weights, qmin = _int_game(system)
-    if route == "enum":
-        _require_enumerable(system.n, cap)
+    engine, weights, qmin = _route(system, engine, cap, by_size=False)
+    if engine == "enum":
         return next(_winning_counts(weights, qmin, by_size=False))[1]
     if sum(weights) < qmin:
         return 0  # the grand coalition loses; no table as wide as the quota

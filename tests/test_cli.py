@@ -655,6 +655,25 @@ def _run_capped(*argv):
     )
 
 
+# a numerator or denominator past Python's 4,300-digit limit for int strings
+TOO_MANY_DIGITS = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("index", "--quota", "1", "--weights", f"{TOO_MANY_DIGITS},1"),
+        ("fixedpoint", "--weights", f"{TOO_MANY_DIGITS},1"),
+        ("family", "ab", "--b", f"1/{TOO_MANY_DIGITS}", "--m", "2"),
+    ],
+    ids=["index", "fixedpoint", "family-ab"],
+)
+def test_numbers_past_the_digit_limit_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: number too long") and err.count("\n") == 1
+
+
 def test_closed_stdout_exits_141_without_a_traceback():
     child = subprocess.Popen(
         [sys.executable, "-m", "votingpower", "divisor", "--scan", "20000"],

@@ -242,7 +242,7 @@ class TestCapsAndErrors:
         ):
             # the DP answers without its table, so auto need not enumerate
             for by_size in (False, True):
-                assert indices._pick_engine(s, "auto", DEFAULT_ENUM_CAP, by_size) == "dp"
+                assert indices._route(s, "auto", DEFAULT_ENUM_CAP, by_size)[0] == "dp"
             assert count_winning(s, "dp") == 0
             assert count_winning(s) == 0
             with pytest.raises(DegenerateSystem):
@@ -261,15 +261,15 @@ class TestCapsAndErrors:
     def test_auto_reads_the_table_shape_of_each_index(self):
         # one row of 250 cells is within 2**10 masks; ten size rows are not
         s = _system(250, (1,) * 9 + (300,))
-        assert indices._pick_engine(s, "auto", DEFAULT_ENUM_CAP, by_size=False) == "dp"
-        assert indices._pick_engine(s, "auto", DEFAULT_ENUM_CAP, by_size=True) == "enum"
+        assert indices._route(s, "auto", DEFAULT_ENUM_CAP, by_size=False)[0] == "dp"
+        assert indices._route(s, "auto", DEFAULT_ENUM_CAP, by_size=True)[0] == "enum"
 
     def test_auto_enumerates_a_table_within_2_to_the_n_but_over_budget(self):
         # 24 players: a one-row table of 10**7 cells is within 2**24 masks,
         # but over the DP's budget of 2**23 cells
         s = _system(10**7, (1,) * 23 + (2 * 10**7,))
         for by_size in (False, True):
-            assert indices._pick_engine(s, "auto", DEFAULT_ENUM_CAP, by_size) == "enum"
+            assert indices._route(s, "auto", DEFAULT_ENUM_CAP, by_size)[0] == "enum"
         with pytest.raises(TooLarge):
             count_winning(s, "dp")
 
@@ -391,7 +391,7 @@ class TestStructuralProperties:
     def test_auto_engine_agrees_with_explicit(self, game):
         s, cap, pick = game
         for by_size in (False, True):
-            assert indices._pick_engine(s, "auto", cap, by_size) == pick
+            assert indices._route(s, "auto", cap, by_size)[0] == pick
         for index in (banzhaf, shapley_shubik, count_winning):
             auto = _outcome(index, s, "auto", cap)
             enum = _outcome(index, s, "enum", DEFAULT_ENUM_CAP)
@@ -531,8 +531,8 @@ class TestSwingWindows:
     @example(_system(9, (2, 1, 0)))  # the grand coalition loses
     def test_windows_match_brute(self, s):
         engines = [
-            lambda by_size: indices._enum_windows(s, DEFAULT_ENUM_CAP, by_size),
-            lambda by_size: indices._dp_windows(s, by_size),
+            lambda by_size: indices._windows(s, "enum", DEFAULT_ENUM_CAP, by_size),
+            lambda by_size: indices._windows(s, "dp", DEFAULT_ENUM_CAP, by_size),
         ]
         if brute_count_winning(s) == 0:
             for engine in engines:
