@@ -18,8 +18,10 @@ input, an ``--out`` file that cannot be written, a table over its budget or a
 sieve limit over `divisor.SIEVE_LIMIT`, 3 the requested system is degenerate,
 141 stdout was closed (as on ``SIGPIPE``).
 
-The argument parser is built once per process, on the first `main` call, and
-reused by every later call.
+Each ``cmd_*`` returns what it shows, and `main` prints it in the format asked
+for; only ``divisor --scan --report`` streams its rows itself.  Results print in
+full, past Python's digit limit for int strings.  The argument parser is built
+once per process, on the first `main` call, and reused by every later call.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .claims import SUITES
 from .core import (
@@ -44,9 +46,11 @@ from .core import (
     scale_to_integers,
 )
 from .divisor import (
+    SCAN_CSV_COLUMNS,
     SIEVE_LIMIT,
     DisagreementReport,
     disagreement_report,
+    report_csv_row,
     scan_abundant,
     write_scan_report,
 )
@@ -59,8 +63,6 @@ from .errors import (
     UnsupportedCase,
 )
 from .fixedpoint import (
-    FixedPoint,
-    Cycle,
     aab_fixed_point_classes,
     aab_fixed_points,
     aab_heavy_ss_power,
@@ -82,20 +84,40 @@ EXIT_BROKEN_PIPE = 141
 
 
 # ---------------------------------------------------------------------------
-# Small output helpers.
+# What a command shows, and the one place that prints it.
 # ---------------------------------------------------------------------------
 
 
-def _print_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    line = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
-    print(line.rstrip())
-    print("  ".join("-" * w for w in widths))
-    for row in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+class _Shown(NamedTuple):
+    """A command's result: its JSON value, how to render it as text and as
+    CSV, and its exit code.  The renderings are functions, so a call builds
+    only the one its format asks for."""
+
+    payload: object = None  # None: the command streamed its own output
+    lines: Callable[[], list[str]] | None = None  # None: one ``key: value`` per item
+    rows: Callable[[], list] | None = None  # CSV rows, header first
+    code: int = EXIT_OK
+
+
+def _show(shown: _Shown, fmt: str) -> None:
+    if shown.payload is None:
+        return
+    if fmt == "json":
+        print(json.dumps(shown.payload, indent=2))
+    elif fmt == "csv":
+        csv.writer(sys.stdout).writerows(shown.rows())
+    elif shown.lines is None:
+        print("\n".join([f"{key}: {value}" for key, value in shown.payload.items()]))
+    else:
+        print("\n".join(shown.lines()))
+
+
+def _table(rows: Sequence[Sequence[str]]) -> list[str]:
+    """``rows``, header first, in aligned columns with a rule under the header."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    text = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows]
+    text.insert(1, "  ".join("-" * w for w in widths))
+    return text
 
 
 def _parse_weights(text: str) -> tuple[Fraction, ...]:
@@ -114,7 +136,7 @@ def _fmt(values) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_index(args: argparse.Namespace) -> int:
+def cmd_index(args: argparse.Namespace) -> _Shown:
     weights = _parse_weights(args.weights)
     if args.normalize:
         weights = normalize(weights)
@@ -143,35 +165,23 @@ def cmd_index(args: argparse.Namespace) -> int:
         ss = shapley_shubik(system, args.engine, cap=cap)
         payload["shapley_shubik"] = {"values": _fmt(ss.values)}
 
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
+    def rows() -> list:
+        columns = {"player": [str(i) for i in range(system.n)], "weight": payload["weights"]}
+        if "banzhaf" in payload:
+            columns["banzhaf"] = payload["banzhaf"]["values"]
+            columns["swings"] = [str(s) for s in payload["banzhaf"]["swings"]]
+        if "shapley_shubik" in payload:
+            columns["shapley_shubik"] = payload["shapley_shubik"]["values"]
+        return [list(columns), *zip(*columns.values())]
 
-    headers = ["player", "weight"]
-    columns: list[list[str]] = [
-        [str(i) for i in range(system.n)],
-        _fmt(system.weights),
-    ]
-    if "banzhaf" in payload:
-        headers += ["banzhaf", "swings"]
-        columns.append(payload["banzhaf"]["values"])
-        columns.append([str(s) for s in payload["banzhaf"]["swings"]])
-    if "shapley_shubik" in payload:
-        headers.append("shapley_shubik")
-        columns.append(payload["shapley_shubik"]["values"])
-    rows = list(zip(*columns))
+    def lines() -> list[str]:
+        text = _table(rows())
+        text.append(f"winning coalitions: {payload['winning_coalitions']}")
+        if "banzhaf" in payload:
+            text.append(f"total swings: {payload['banzhaf']['total_swings']}")
+        return text
 
-    if args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(headers)
-        writer.writerows(rows)
-        return EXIT_OK
-
-    _print_table(headers, rows)
-    print(f"winning coalitions: {payload['winning_coalitions']}")
-    if "banzhaf" in payload:
-        print(f"total swings: {payload['banzhaf']['total_swings']}")
-    return EXIT_OK
+    return _Shown(payload, lines, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +205,7 @@ def _report_payload(report: DisagreementReport) -> dict:
     }
 
 
-def cmd_divisor(args: argparse.Namespace) -> int:
+def cmd_divisor(args: argparse.Namespace) -> _Shown:
     if args.scan is not None:
         if args.n is not None:
             raise InvalidInput("give either a single n or --scan, not both")
@@ -211,24 +221,13 @@ def cmd_divisor(args: argparse.Namespace) -> int:
                     write_scan_report(reports, stream)
             else:
                 write_scan_report(reports, sys.stdout)
-            return EXIT_OK
-        if args.format == "json":
-            print(
-                json.dumps(
-                    [{"n": n, "divisor_count": d, "excess": k} for n, d, k in triples],
-                    indent=2,
-                )
-            )
-        elif args.format == "csv":
-            writer = csv.writer(sys.stdout)
-            writer.writerow(["n", "divisor_count", "excess"])
-            writer.writerows(triples)
-        else:
-            _print_table(
-                ["n", "divisor_count", "excess"],
-                [[str(x) for x in t] for t in triples],
-            )
-        return EXIT_OK
+            return _Shown()
+        headers = ["n", "divisor_count", "excess"]
+        return _Shown(
+            [{"n": n, "divisor_count": d, "excess": k} for n, d, k in triples],
+            lambda: _table([headers, *[[str(x) for x in t] for t in triples]]),
+            lambda: [headers, *triples],
+        )
 
     if args.n is None:
         raise InvalidInput("give an integer n or --scan LIMIT")
@@ -244,34 +243,33 @@ def cmd_divisor(args: argparse.Namespace) -> int:
     if not show_formulas:
         del payload["formula_match"]
         del payload["formula_notes"]
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-    if args.format == "csv":
-        write_scan_report([report], sys.stdout)
-        return EXIT_OK
 
-    print(f"n = {payload['n']}  sigma = {payload['sigma']}  excess = {payload['excess']}")
-    print(f"quota = {payload['quota']} (meets-or-exceeds)")
-    headers = ["seat", "divisor", "banzhaf", "shapley_shubik"]
-    rows = [
-        [str(i), str(d), payload["banzhaf"][i], payload["shapley_shubik"][i]]
-        for i, d in enumerate(payload["divisors"])
-    ]
-    if show_witnesses:
-        headers.append("differ")
-        for i, row in enumerate(rows):
-            row.append("*" if i in payload["witness_positions"] else "")
-    _print_table(headers, rows)
-    if show_formulas:
-        if payload["formula_match"] is None:
-            print("closed-form catalog: not applicable")
-        else:
-            verdict = "match" if payload["formula_match"] else "MISMATCH"
-            print(f"closed-form catalog: {verdict}")
-            for note in payload["formula_notes"]:
-                print(f"  - {note}")
-    return EXIT_OK
+    def lines() -> list[str]:
+        text = [
+            f"n = {payload['n']}  sigma = {payload['sigma']}  excess = {payload['excess']}",
+            f"quota = {payload['quota']} (meets-or-exceeds)",
+        ]
+        headers = ["seat", "divisor", "banzhaf", "shapley_shubik"]
+        rows = [
+            [str(i), str(d), payload["banzhaf"][i], payload["shapley_shubik"][i]]
+            for i, d in enumerate(payload["divisors"])
+        ]
+        if show_witnesses:
+            headers.append("differ")
+            for i, row in enumerate(rows):
+                row.append("*" if i in payload["witness_positions"] else "")
+        text += _table([headers, *rows])
+        if show_formulas:
+            if payload["formula_match"] is None:
+                text.append("closed-form catalog: not applicable")
+            else:
+                verdict = "match" if payload["formula_match"] else "MISMATCH"
+                text.append(f"closed-form catalog: {verdict}")
+                text += [f"  - {note}" for note in payload["formula_notes"]]
+        return text
+
+    # the CSV row is the full scan report's, whatever section is asked for
+    return _Shown(payload, lines, lambda: [SCAN_CSV_COLUMNS, report_csv_row(report).values()])
 
 
 # ---------------------------------------------------------------------------
@@ -279,29 +277,26 @@ def cmd_divisor(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_fixedpoint(args: argparse.Namespace) -> int:
+_OUTCOME_LINES = {
+    "fixed": "fixed point: step {index} maps to itself",
+    "cycle": "cycle: orbit re-enters step {entry} (length {length})",
+    "max_iters": "no repetition within {max_iters} steps",
+}
+
+
+def cmd_fixedpoint(args: argparse.Namespace) -> _Shown:
     weights = _parse_weights(args.weights)
     if all(w == 0 for w in weights):
         raise InvalidInput("all weights are zero; the index map is undefined")
     kind = IndexKind.BANZHAF if args.index == "banzhaf" else IndexKind.SHAPLEY_SHUBIK
-    trace = iterate(weights, kind, args.max_iters)
+    payload = trace_to_dict(iterate(weights, kind, args.max_iters))
 
-    if args.format == "json":
-        print(json.dumps(trace_to_dict(trace), indent=2))
-        return EXIT_OK
+    def lines() -> list[str]:
+        states = [[str(i), " ".join(state)] for i, state in enumerate(payload["states"])]
+        last = _OUTCOME_LINES[payload["outcome"]["type"]].format(**payload["outcome"])
+        return _table([["step", "weights"], *states]) + [last]
 
-    _print_table(
-        ["step", "weights"],
-        [[str(i), " ".join(_fmt(state))] for i, state in enumerate(trace.states)],
-    )
-    out = trace.outcome
-    if isinstance(out, FixedPoint):
-        print(f"fixed point: step {out.index} maps to itself")
-    elif isinstance(out, Cycle):
-        print(f"cycle: orbit re-enters step {out.entry} (length {out.length})")
-    else:
-        print(f"no repetition within {out.max_iters} steps")
-    return EXIT_OK
+    return _Shown(payload, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -322,27 +317,9 @@ def _spec_payload(spec) -> dict:
     }
 
 
-def _print_specs(payloads: list[dict]) -> None:
-    _print_table(
-        ["shape", "m", "k", "offset", "heavy", "light", "valid", "reason"],
-        [
-            [
-                p["shape"],
-                str(p["m"]),
-                str(p["k"]),
-                "" if p["offset"] is None else str(p["offset"]),
-                p["heavy_weight"],
-                p["light_weight"],
-                "yes" if p["valid"] else "no",
-                p["reason"],
-            ]
-            for p in payloads
-        ],
-    )
-
-
-def cmd_family(args: argparse.Namespace) -> int:
+def cmd_family(args: argparse.Namespace) -> _Shown:
     shape = args.shape
+    heavies = 1 if shape == "ab" else 2  # they share 1 - m*b equally
 
     if args.solve is not None:
         m = args.m if args.solve == -1 else args.solve
@@ -351,61 +328,46 @@ def cmd_family(args: argparse.Namespace) -> int:
         if m < 1:
             raise InvalidInput(f"need at least one light player, got m={m}")
         sols = ab_fixed_points(m) if shape == "ab" else aab_fixed_points(m)
-        heavies = [
-            1 - m * b if shape == "ab" else (1 - m * b) / 2 for b in sols
-        ]
         payload = {
             "shape": shape,
             "m": m,
             "solutions": [
-                {"light_weight": format_rational(b), "heavy_weight": format_rational(a)}
-                for b, a in zip(sols, heavies)
+                {
+                    "light_weight": format_rational(b),
+                    "heavy_weight": format_rational((1 - m * b) / heavies),
+                }
+                for b in sols
             ],
         }
-        if args.format == "json":
-            print(json.dumps(payload, indent=2))
-        else:
-            _print_table(
-                ["light_weight", "heavy_weight"],
-                [[s["light_weight"], s["heavy_weight"]] for s in payload["solutions"]],
-            )
-        return EXIT_OK
+        return _Shown(
+            payload,
+            lambda: _table(
+                [["light_weight", "heavy_weight"]]
+                + [[s["light_weight"], s["heavy_weight"]] for s in payload["solutions"]]
+            ),
+        )
 
     if args.b is not None:
         if args.m is None:
             raise InvalidInput("--b needs --m (the light-player count)")
         b = parse_rational(args.b)
         m = args.m
+        heavy = (1 - m * b) / heavies
+        power = (ab_heavy_ss_power if shape == "ab" else aab_heavy_ss_power)(m, b)
+        payload = {
+            "shape": shape,
+            "m": m,
+            "light_weight": format_rational(b),
+            "heavy_weight": format_rational(heavy),
+            "heavy_ss_power": format_rational(power),
+            "ss_fixed": power == heavy,
+        }
         if shape == "ab":
-            power = ab_heavy_ss_power(m, b)
             pair = ab_banzhaf_indices(m, b)
-            payload = {
-                "shape": shape,
-                "m": m,
-                "light_weight": format_rational(b),
-                "heavy_weight": format_rational(1 - m * b),
-                "heavy_ss_power": format_rational(power),
-                "ss_fixed": power == 1 - m * b,
-                "banzhaf_heavy": format_rational(pair.heavy),
-                "banzhaf_light": format_rational(pair.light),
-                "banzhaf_fixed": pair.light == b,
-            }
-        else:
-            power = aab_heavy_ss_power(m, b)
-            payload = {
-                "shape": shape,
-                "m": m,
-                "light_weight": format_rational(b),
-                "heavy_weight": format_rational((1 - m * b) / 2),
-                "heavy_ss_power": format_rational(power),
-                "ss_fixed": power == (1 - m * b) / 2,
-            }
-        if args.format == "json":
-            print(json.dumps(payload, indent=2))
-        else:
-            for key, value in payload.items():
-                print(f"{key}: {value}")
-        return EXIT_OK
+            payload["banzhaf_heavy"] = format_rational(pair.heavy)
+            payload["banzhaf_light"] = format_rational(pair.light)
+            payload["banzhaf_fixed"] = pair.light == b
+        return _Shown(payload)
 
     if args.k is None or args.parity is None:
         raise InvalidInput(
@@ -420,11 +382,25 @@ def cmd_family(args: argparse.Namespace) -> int:
                 p["engine_certified"] = spec.valid and is_fixed_point(
                     spec.weights(), IndexKind.SHAPLEY_SHUBIK
                 )
-        if args.format == "json":
-            print(json.dumps(payloads, indent=2))
-        else:
-            _print_specs(payloads)
-        return EXIT_OK
+        return _Shown(
+            payloads,
+            lambda: _table(
+                [["shape", "m", "k", "offset", "heavy", "light", "valid", "reason"]]
+                + [
+                    [
+                        p["shape"],
+                        str(p["m"]),
+                        str(p["k"]),
+                        "" if p["offset"] is None else str(p["offset"]),
+                        p["heavy_weight"],
+                        p["light_weight"],
+                        "yes" if p["valid"] else "no",
+                        p["reason"],
+                    ]
+                    for p in payloads
+                ]
+            ),
+        )
 
     if args.c is None:
         raise InvalidInput("the one-heavy point needs --c (1 <= c <= k-1)")
@@ -440,14 +416,8 @@ def cmd_family(args: argparse.Namespace) -> int:
         payload["engine_certified"] = is_fixed_point(
             spec.weights(), IndexKind.SHAPLEY_SHUBIK
         )
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
-    if args.banzhaf_check and not payload["banzhaf_fixed"]:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    failed = args.banzhaf_check and not payload["banzhaf_fixed"]
+    return _Shown(payload, code=EXIT_CHECK_FAILED if failed else EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -455,26 +425,17 @@ def cmd_family(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> _Shown:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     checks = [check for name in names for check in SUITES[name](args)]
-    if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {"name": c.name, "status": c.status, "detail": c.detail}
-                    for c in checks
-                ],
-                indent=2,
-            )
-        )
-    else:
-        for c in checks:
-            print(f"{c.status:7s} {c.name}: {c.detail}")
-        failed = sum(1 for c in checks if c.status == "FAIL")
-        passed = sum(1 for c in checks if c.status == "PASS")
-        print(f"{passed} passed, {failed} failed")
-    return EXIT_CHECK_FAILED if any(c.status == "FAIL" for c in checks) else EXIT_OK
+    failed = sum(1 for c in checks if c.status == "FAIL")
+    passed = sum(1 for c in checks if c.status == "PASS")
+    return _Shown(
+        [{"name": c.name, "status": c.status, "detail": c.detail} for c in checks],
+        lambda: [f"{c.status:7s} {c.name}: {c.detail}" for c in checks]
+        + [f"{passed} passed, {failed} failed"],
+        code=EXIT_CHECK_FAILED if failed else EXIT_OK,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -615,10 +576,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
+    # results print in full; `parse_rational` bounds the digits of the input
+    lifted = hasattr(sys, "set_int_max_str_digits")  # Python 3.10.7 and later
+    if lifted:
+        digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
-        code = args.func(args)
+        shown = args.func(args)
+        _show(shown, args.format)
         sys.stdout.flush()
-        return code
+        return shown.code
     except BrokenPipeError:  # the reader left: devnull keeps the flush at exit quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
@@ -634,6 +601,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if lifted:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ the system's mode: ``MEETS_OR_EXCEEDS`` (total >= quota) or
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -29,22 +28,25 @@ Rational = Fraction
 #: A coalition is a frozen set of player positions in ``0..n-1``.
 Coalition = frozenset
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+#: Digits allowed in a numerator or a denominator: Python's default limit for
+#: int strings, which the CLI lifts so that its results print in full.
+_MAX_DIGITS = 4300
+_RATIONAL_RE = re.compile(rf"^-?\d{{1,{_MAX_DIGITS}}}(/[1-9]\d{{0,{_MAX_DIGITS - 1}}})?$")
+_LONG_DIGITS_RE = re.compile(rf"(\d)\d{{{_MAX_DIGITS},}}")
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` or ``"p"`` into an exact rational.
 
     The denominator must be a positive integer; a sign is only accepted on
-    the numerator.  The value is reduced to lowest terms automatically.
+    the numerator; each part has at most `_MAX_DIGITS` digits.  The value is
+    reduced to lowest terms automatically.
     """
     cleaned = text.strip()
     if not _RATIONAL_RE.match(cleaned):
+        if _RATIONAL_RE.match(_LONG_DIGITS_RE.sub(r"\1", cleaned)):
+            raise InvalidInput(f"number too long: over {_MAX_DIGITS} digits in {cleaned[:20]}...")
         raise InvalidInput(f"not a rational number: {text!r} (expected 'p' or 'p/q')")
-    try:
-        return Fraction(cleaned)
-    except ValueError as exc:  # a part past Python's digit limit for int conversion
-        limit = sys.get_int_max_str_digits()
-        raise InvalidInput(f"number too long: over {limit} digits in {cleaned[:20]}...") from exc
+    return Fraction(cleaned)
 
 
 def format_rational(value: Fraction) -> str:

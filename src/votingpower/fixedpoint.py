@@ -43,8 +43,8 @@ from .indices import banzhaf, shapley_shubik
 #: Iteration bailout used when the caller does not pick one.
 DEFAULT_MAX_ITERS = 100
 
-# The family solvers visit O(m) branches; above this light count one solve
-# takes seconds, so it is refused.
+# The family solvers visit O(m) branches, and the one-heavy Banzhaf indices sum
+# O(m) binomials; above this light count one call takes seconds, so it is refused.
 _SOLVE_MAX_M = 200_000
 
 WeightVector = tuple[Fraction, ...]
@@ -124,8 +124,10 @@ def ab_banzhaf_indices(m: int, b) -> BanzhafPair:
     A light player swings either a coalition of exactly ``floor(1/(2b)) + 1``
     lights and no heavy, or one of exactly ``floor(m - 1/(2b)) + 1`` lights
     plus the heavy; the heavy swings every coalition of ``j`` lights with
-    ``m - 1/(2b) < j <= 1/(2b)``.
+    ``m - 1/(2b) < j <= 1/(2b)``.  Their binomials are summed by stepping
+    ``C(m, j+1) = C(m, j) * (m-j) / (j+1)``.
     """
+    _check_solve_count(m)
     b = _check_family_args(m, b)
     half = Fraction(1, 2) / b
     p_min = floor(half) + 1
@@ -133,7 +135,10 @@ def ab_banzhaf_indices(m: int, b) -> BanzhafPair:
     light = _comb0(m - 1, p_min - 1) + _comb0(m - 1, q0 - 1)
     qhi = min(m, floor(half))
     qlo = max(0, q0)
-    heavy = sum(comb(m, j) for j in range(qlo, qhi + 1))
+    heavy, term = 0, comb(m, qlo)
+    for j in range(qlo, qhi + 1):
+        heavy += term
+        term = term * (m - j) // (j + 1)
     total = m * light + heavy
     if total == 0:
         raise InvalidFamily("no player ever swings; the game is degenerate")

@@ -51,7 +51,6 @@ from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate, permutations
 from math import factorial, gcd
 from operator import add, mul
@@ -285,24 +284,15 @@ def _peel_points(w: int, qmin: int) -> range:
     return range((qmin - w - 1) % w + 1, qmin - w + 1, w)
 
 
-def _swings(sums: list[int], w: int, qmin: int) -> int:
-    """Coalitions of the other players that weigh ``qmin - w`` to ``qmin - 1``.
-
-    ``sums`` are the prefix sums ``P(<t)`` over every light player.  Without a
-    player of weight ``w`` they are ``E(<t) = P(<t) - E(<t - w)``, and the
-    window holds ``E(<qmin) - E(<qmin - w) = P(<qmin) - 2 E(<qmin - w)``.  A
-    player at or above ``qmin`` is not among the light ones: ``E = P``.
-    """
-    e = 0
-    for t in _peel_points(w, qmin):
-        e = sums[t] - e
-    return sums[qmin] - 2 * e
-
-
 def _size_window(sums: list[int], w: int, qmin: int, bits: int) -> int:
     """The coalitions of the other players in the swing window, packed by size.
 
-    As `_swings`, size by size, on the packed rows of `_losing_prefix_sums`:
+    ``sums`` are the prefix sums ``P(<t)`` over every light player.  Without a
+    player of weight ``w`` they are ``E(<t) = P(<t) - E(<t - w)``, and the
+    window holds ``E(<qmin) - E(<qmin - w) = P(<qmin) - 2 E(<qmin - w)``; a
+    player at or above ``qmin`` is not among the light ones, so ``E = P``.
+    With ``bits = 0`` that is the Banzhaf count.  On the packed rows of
+    `_losing_prefix_sums` the same peel runs size by size:
     ``E_s(<t) = P_s(<t) - E_{s-1}(<t - w)`` is one shift of ``E`` by a field,
     and the window of size ``s`` holds
     ``P_s(<qmin) - E_{s-1}(<qmin - w) - E_s(<qmin - w)``.  Every field stays a
@@ -358,8 +348,7 @@ def _windows(
             held += part
         return [(h >> bits) + h - total for h in held], system.n, bits
     sums, rows, bits = _losing_prefix_sums(weights, qmin, by_size)
-    peel = partial(_size_window, bits=bits) if by_size else _swings
-    peeled = {w: peel(sums, w, qmin) for w in set(weights) if w}
+    peeled = {w: _size_window(sums, w, qmin, bits if by_size else 0) for w in set(weights) if w}
     return [peeled.get(w, 0) for w in weights], rows, bits
 
 

@@ -7,7 +7,9 @@ import os
 import shutil
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -18,8 +20,12 @@ from votingpower import (
     FixedPoint,
     QuotaMode,
     VotingSystem,
+    ab_banzhaf_indices,
+    banzhaf,
     banzhaf_enum,
     divisor_system,
+    format_rational,
+    scale_to_integers,
     ss_enum_subsets,
     trace_from_json,
 )
@@ -462,9 +468,13 @@ class TestFamilyCommand:
         assert [p["light_weight"] for p in payloads] == ["1/5", "2/15"]
         assert all(p["valid"] and p["engine_certified"] for p in payloads)
 
-    @pytest.mark.parametrize("shape", ["ab", "aab"])
-    def test_solve_over_the_bound_is_refused(self, capsys, shape):
-        code, out, err = run(capsys, "family", shape, "--solve", "200001")
+    @pytest.mark.parametrize(
+        "argv",
+        [("ab", "--solve"), ("aab", "--solve"), ("ab", "--b", "1/1000000", "--m")],
+        ids=["ab", "aab", "ab-b"],
+    )
+    def test_solve_over_the_bound_is_refused(self, capsys, argv):
+        code, out, err = run(capsys, "family", *argv, "200001")
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
@@ -672,6 +682,71 @@ def test_numbers_past_the_digit_limit_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: number too long") and err.count("\n") == 1
+
+
+@contextmanager
+def _int_strings_unlimited():
+    """Lift Python's digit limit for int strings, where it exists, as `main` does."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(digits)
+
+
+def _limit():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+def test_scaled_weights_past_the_digit_limit_print_in_full(capsys):
+    quota = Fraction(1, 10**190)
+    weights = [Fraction(1, 10**190 * i + 1) for i in range(1, 24)]
+    limit = _limit()
+    code, out, err = run(
+        capsys, "index", "--quota", str(quota), "--weights", ",".join(map(str, weights)),
+        "--format", "json",
+    )
+    assert (code, err, _limit()) == (EXIT_OK, "", limit)
+    system = VotingSystem(quota=quota, mode=QuotaMode.MEETS_OR_EXCEEDS, weights=tuple(weights))
+    with _int_strings_unlimited():
+        payload = json.loads(out)
+        scaled = list(scale_to_integers(system).weights)
+        assert max(len(str(w)) for w in scaled) > 4300
+    assert payload["scaled_weights"] == scaled
+    assert payload["banzhaf"]["values"] == [format_rational(v) for v in banzhaf(system)[1].values]
+
+
+def test_counts_past_the_digit_limit_print_in_full(capsys):
+    n = 15000  # a coalition wins with 3 of n unit weights
+    code, out, err = run(
+        capsys, "index", "--quota", "3", "--weights", ",".join(["1"] * n), "--index", "banzhaf",
+    )
+    assert (code, err) == (EXIT_OK, "")
+    lines = out.splitlines()
+    assert len(lines) == n + 4
+    assert lines[2].split() == ["0", "1", f"1/{n}", str(comb(n - 1, 2))]
+    with _int_strings_unlimited():
+        assert lines[-2:] == [
+            f"winning coalitions: {2**n - 1 - n - comb(n, 2)}",
+            f"total swings: {n * comb(n - 1, 2)}",
+        ]
+
+
+def test_family_result_past_the_digit_limit_prints_in_full(capsys):
+    code, out, err = run(
+        capsys, "family", "ab", "--b", "1/50000", "--m", "40000", "--format", "json"
+    )
+    assert (code, err) == (EXIT_OK, "")
+    pair = ab_banzhaf_indices(40000, Fraction(1, 50000))
+    with _int_strings_unlimited():
+        payload = json.loads(out)
+        assert len(str(pair.heavy.denominator)) > 4300
+        assert payload["banzhaf_heavy"] == format_rational(pair.heavy)
+        assert payload["banzhaf_light"] == format_rational(pair.light)
 
 
 def test_closed_stdout_exits_141_without_a_traceback():

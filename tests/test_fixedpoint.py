@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import comb, floor
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +116,30 @@ class TestOneHeavyBanzhaf:
     def test_index_normalization(self):
         pair = ab_banzhaf_indices(7, F(1, 9))
         assert pair.heavy + 7 * pair.light == 1
+
+    def test_stepped_binomials_match_the_per_term_sum(self):
+        for m in range(1, 41):
+            # floor(1/(2b)) = t, on the integer boundary b = 1/(2t) and off it
+            for t in range(max(1, m // 2), m + 3):
+                for b in (F(1, 2 * t), F(2, 4 * t + 1)):
+                    if m * b < 1:
+                        pair = ab_banzhaf_indices(m, b)
+                        assert (pair.heavy, pair.light) == _ab_banzhaf_by_terms(m, b), (m, b)
+
+    def test_refuses_light_counts_over_the_bound(self):
+        with pytest.raises(TooLarge):
+            ab_banzhaf_indices(fixedpoint._SOLVE_MAX_M + 1, F(1, 10**6))
+
+
+def _ab_banzhaf_by_terms(m, b):
+    """The one-heavy Banzhaf pair with one ``comb`` per heavy term: the stepped sum's reference."""
+    half = F(1, 2) / b
+    light = sum(
+        comb(m - 1, j) for j in (floor(half), floor(m - half)) if 0 <= j <= m - 1
+    )
+    heavy = sum(comb(m, j) for j in range(max(0, floor(m - half) + 1), min(m, floor(half)) + 1))
+    total = m * light + heavy
+    return F(heavy, total), F(light, total)
 
 
 class TestOneHeavyFamilyPoints:
