@@ -14,14 +14,15 @@ Subcommands:
   the paper's claims from scratch, and report PASS/FAIL per check.
 
 Exit codes: 0 success, 1 a verified check failed, 2 bad usage, malformed
-input, an ``--out`` file that cannot be written, a table over its budget or a
-sieve limit over `divisor.SIEVE_LIMIT`, 3 the requested system is degenerate,
-141 stdout was closed (as on ``SIGPIPE``).
+input, an ``--out`` file that cannot be written, a table over its budget, a
+sieve limit over `divisor.SIEVE_LIMIT` or an integer to trial-divide over
+`divisor.TRIAL_DIVISION_LIMIT`, 3 the requested system is degenerate, 141
+stdout was closed (as on ``SIGPIPE``).
 
-Each ``cmd_*`` returns what it shows, and `main` prints it in the format asked
-for; only ``divisor --scan --report`` streams its rows itself.  Results print in
-full, past Python's digit limit for int strings.  The argument parser is built
-once per process, on the first `main` call, and reused by every later call.
+Each ``cmd_*`` returns what it shows, and `main` writes it in the format asked
+for, to stdout or to the ``--out`` file.  Results print in full, past Python's
+digit limit for int strings.  The argument parser is built once per process,
+on the first `main` call, and reused by every later call.
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ import csv
 import json
 import os
 import sys
+from contextlib import nullcontext
+from dataclasses import fields
 from fractions import Fraction
 from functools import cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .claims import SUITES
 from .core import (
@@ -52,7 +55,6 @@ from .divisor import (
     disagreement_report,
     report_csv_row,
     scan_abundant,
-    write_scan_report,
 )
 from .errors import (
     DegenerateSystem,
@@ -63,6 +65,7 @@ from .errors import (
     UnsupportedCase,
 )
 from .fixedpoint import (
+    FamilySpec,
     aab_fixed_point_classes,
     aab_fixed_points,
     aab_heavy_ss_power,
@@ -84,7 +87,7 @@ EXIT_BROKEN_PIPE = 141
 
 
 # ---------------------------------------------------------------------------
-# What a command shows, and the one place that prints it.
+# What a command shows, and the one place that writes it.
 # ---------------------------------------------------------------------------
 
 
@@ -93,23 +96,28 @@ class _Shown(NamedTuple):
     CSV, and its exit code.  The renderings are functions, so a call builds
     only the one its format asks for."""
 
-    payload: object = None  # None: the command streamed its own output
+    payload: object = None  # None: the rows are the whole result, in every format
     lines: Callable[[], list[str]] | None = None  # None: one ``key: value`` per item
-    rows: Callable[[], list] | None = None  # CSV rows, header first
+    rows: Callable[[], Iterable] | None = None  # CSV rows, header first; may stream
     code: int = EXIT_OK
 
 
-def _show(shown: _Shown, fmt: str) -> None:
-    if shown.payload is None:
-        return
-    if fmt == "json":
-        print(json.dumps(shown.payload, indent=2))
-    elif fmt == "csv":
-        csv.writer(sys.stdout).writerows(shown.rows())
-    elif shown.lines is None:
-        print("\n".join([f"{key}: {value}" for key, value in shown.payload.items()]))
-    else:
-        print("\n".join(shown.lines()))
+def _show(shown: _Shown, fmt: str, path: str | None) -> None:
+    """Write a result in ``fmt`` to the file at ``path``, or to stdout."""
+    try:
+        target = nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {path}: {exc.strerror}") from exc
+    with target as out:
+        if fmt == "csv" or shown.payload is None:
+            csv.writer(out).writerows(shown.rows())
+        elif fmt == "json":
+            print(json.dumps(shown.payload, indent=2), file=out)
+        elif shown.lines is None:
+            items = shown.payload.items()
+            print("\n".join([f"{key}: {value}" for key, value in items]), file=out)
+        else:
+            print("\n".join(shown.lines()), file=out)
 
 
 def _table(rows: Sequence[Sequence[str]]) -> list[str]:
@@ -211,17 +219,12 @@ def cmd_divisor(args: argparse.Namespace) -> _Shown:
             raise InvalidInput("give either a single n or --scan, not both")
         triples = scan_abundant(args.scan, args.divisors)
         if args.report:
-            reports = (disagreement_report(n) for n, _, _ in triples)
-            if args.out:
-                try:
-                    stream = open(args.out, "w", newline="")
-                except OSError as exc:
-                    raise InvalidInput(f"cannot write {args.out}: {exc.strerror}") from exc
-                with stream:
-                    write_scan_report(reports, stream)
-            else:
-                write_scan_report(reports, sys.stdout)
-            return _Shown()
+            def report_rows() -> Iterable:  # one report at a time: the census streams
+                yield SCAN_CSV_COLUMNS
+                for n, _, _ in triples:
+                    yield report_csv_row(disagreement_report(n)).values()
+
+            return _Shown(rows=report_rows)
         headers = ["n", "divisor_count", "excess"]
         return _Shown(
             [{"n": n, "divisor_count": d, "excess": k} for n, d, k in triples],
@@ -304,17 +307,12 @@ def cmd_fixedpoint(args: argparse.Namespace) -> _Shown:
 # ---------------------------------------------------------------------------
 
 
-def _spec_payload(spec) -> dict:
-    return {
-        "shape": spec.shape,
-        "m": spec.m,
-        "k": spec.k,
-        "offset": spec.offset,
-        "heavy_weight": format_rational(spec.heavy_weight),
-        "light_weight": format_rational(spec.light_weight),
-        "valid": spec.valid,
-        "reason": spec.reason,
-    }
+def _spec_payload(spec: FamilySpec) -> dict:
+    """``spec``'s fields in order, its weights as exact 'p/q' strings."""
+    payload = {f.name: getattr(spec, f.name) for f in fields(spec)}
+    payload["heavy_weight"] = format_rational(spec.heavy_weight)
+    payload["light_weight"] = format_rational(spec.light_weight)
+    return payload
 
 
 def cmd_family(args: argparse.Namespace) -> _Shown:
@@ -502,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="with --scan: emit one full CSV report row per abundant n",
     )
-    p.add_argument("--out", help="write CSV output to this file instead of stdout")
+    p.add_argument("--out", help="write the output to this file instead of stdout")
     p.add_argument("--format", choices=["table", "json", "csv"], default="table")
     p.set_defaults(func=cmd_divisor)
 
@@ -583,7 +581,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         shown = args.func(args)
-        _show(shown, args.format)
+        _show(shown, args.format, getattr(args, "out", None))
         sys.stdout.flush()
         return shown.code
     except BrokenPipeError:  # the reader left: devnull keeps the flush at exit quiet

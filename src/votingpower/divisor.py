@@ -16,10 +16,9 @@ indices differ.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Callable, Iterable
+from typing import Callable, Iterable
 
 from .core import IndexVector, QuotaMode, VotingSystem
 from .errors import InvalidInput, InvariantViolation, PreconditionFailed, TooLarge, UnsupportedCase
@@ -27,9 +26,14 @@ from .indices import banzhaf, count_winning, shapley_shubik
 
 
 def divisors_of(n: int) -> tuple[int, ...]:
-    """All positive divisors of ``n``, largest first (the seat order)."""
+    """All positive divisors of ``n``, largest first (the seat order).
+
+    Raises `TooLarge` for ``n`` over `TRIAL_DIVISION_LIMIT`, before dividing.
+    """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidInput(f"expected a positive integer, got {n!r}")
+    if n > TRIAL_DIVISION_LIMIT:
+        raise TooLarge(f"{n} is over the trial-division bound of {TRIAL_DIVISION_LIMIT}")
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -57,6 +61,10 @@ def abundance_class(n: int) -> str:
 #: Largest ``limit`` that `sigma_range` sieves.  Its list holds an int per n:
 #: about 0.5 GB at this bound, where 10**9 would need gigabytes.
 SIEVE_LIMIT = 10**7
+
+#: Largest ``n`` that `divisors_of` trial-divides: its loop runs to ``sqrt(n)``,
+#: about a second at this bound.
+TRIAL_DIVISION_LIMIT = 10**14
 
 
 def sigma_range(limit: int) -> list[int]:
@@ -365,11 +373,3 @@ def report_csv_row(report: DisagreementReport) -> dict[str, str]:
         "witness_positions": ";".join(str(i) for i in report.witnesses),
         "formula_match": match,
     }
-
-
-def write_scan_report(reports: Iterable[DisagreementReport], stream: IO[str]) -> None:
-    """Write disagreement reports as CSV rows under `SCAN_CSV_COLUMNS`."""
-    writer = csv.DictWriter(stream, fieldnames=SCAN_CSV_COLUMNS)
-    writer.writeheader()
-    for report in reports:
-        writer.writerow(report_csv_row(report))

@@ -23,7 +23,7 @@ branches and keep exactly the self-consistent ones.  All arithmetic is in
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb, floor
 from typing import Callable, Sequence
@@ -461,22 +461,19 @@ def iterate(
 # ---------------------------------------------------------------------------
 
 
+#: Each outcome type by its tag in a trace payload; the payload's other keys
+#: are the type's fields, all ints.
+_OUTCOME_TAGS = {"fixed": FixedPoint, "cycle": Cycle, "max_iters": MaxIterations}
+
+
 def trace_to_dict(trace: IterationTrace) -> dict:
     """JSON-ready form of a trace; weights serialize as exact 'p/q' strings."""
-    if isinstance(trace.outcome, FixedPoint):
-        outcome = {"type": "fixed", "index": trace.outcome.index}
-    elif isinstance(trace.outcome, Cycle):
-        outcome = {
-            "type": "cycle",
-            "entry": trace.outcome.entry,
-            "length": trace.outcome.length,
-        }
-    else:
-        outcome = {"type": "max_iters", "max_iters": trace.outcome.max_iters}
+    outcome = trace.outcome
+    tag = next(tag for tag, cls in _OUTCOME_TAGS.items() if isinstance(outcome, cls))
     return {
         "kind": trace.kind.value,
         "states": [[format_rational(w) for w in state] for state in trace.states],
-        "outcome": outcome,
+        "outcome": {"type": tag, **{f.name: getattr(outcome, f.name) for f in fields(outcome)}},
     }
 
 
@@ -488,14 +485,10 @@ def trace_from_dict(data: dict) -> IterationTrace:
             [tuple([parse_rational(w) for w in state]) for state in data["states"]]
         )
         raw = data["outcome"]
-        if raw["type"] == "fixed":
-            outcome: Outcome = FixedPoint(index=int(raw["index"]))
-        elif raw["type"] == "cycle":
-            outcome = Cycle(entry=int(raw["entry"]), length=int(raw["length"]))
-        elif raw["type"] == "max_iters":
-            outcome = MaxIterations(max_iters=int(raw["max_iters"]))
-        else:
+        cls = next((cls for tag, cls in _OUTCOME_TAGS.items() if tag == raw["type"]), None)
+        if cls is None:
             raise InvalidInput(f"unknown outcome type {raw['type']!r}")
+        outcome: Outcome = cls(**{f.name: int(raw[f.name]) for f in fields(cls)})
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed trace payload: {exc}") from exc
     return IterationTrace(kind=kind, states=states, outcome=outcome)

@@ -36,9 +36,9 @@ int of one `_field_bits` wide field per size; `_banzhaf_index` and
   weights are modest integers; a table of more than ``2**23`` cells is
   refused with `TooLarge` before it is built.
 
-Every engine call, but the permutation oracle's, scales and routes the game
-once, in `_route`: `_int_game` gives the weights scaled to integers and
-divided by their gcd, and the engine runs on them.  ``engine="auto"``, every
+Every engine call scales the game once: `_int_game` gives the weights scaled
+to integers and divided by their gcd, and the engine runs on them.  `_route`
+makes that call for every engine it routes.  ``engine="auto"``, every
 caller's route, runs the DP above the enumeration cap or when its table fits
 its budget with no more cells than the ``2**n`` masks of enumeration, and
 else enumerates.
@@ -205,8 +205,7 @@ def ss_enum_perms(system: VotingSystem) -> tuple[PivotCounts, IndexVector]:
     n = system.n
     if n > PERM_CAP:
         raise InvalidInput(f"{n} players exceeds the permutation-oracle cap of {PERM_CAP}")
-    scaled = scale_to_integers(system)
-    weights, qmin = scaled.weights, scaled.quota2 + (scaled.mode is QuotaMode.STRICTLY_EXCEEDS)
+    weights, qmin = _int_game(system)
     _require_winnable(weights, qmin)
 
     counts = [0] * n

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
@@ -23,12 +24,14 @@ from votingpower import (
     ab_banzhaf_indices,
     banzhaf,
     banzhaf_enum,
+    disagreement_report,
     divisor_system,
     format_rational,
     scale_to_integers,
     ss_enum_subsets,
     trace_from_json,
 )
+from votingpower import cli
 from votingpower.claims import SUITES
 from votingpower.cli import (
     EXIT_BROKEN_PIPE,
@@ -315,6 +318,49 @@ class TestDivisorCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not target.parent.exists()
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "divisor 12",
+            "divisor 12 --format json",
+            "divisor 12 --format csv",
+            "divisor --scan 300",
+            "divisor --scan 300 --format json",
+            "divisor --scan 300 --format csv",
+            "divisor --scan 300 --report",
+        ],
+    )
+    def test_out_file_holds_what_stdout_shows(self, capsys, tmp_path, line):
+        code, shown, _ = run(capsys, *line.split())
+        target = tmp_path / "out.txt"
+        code_to_file, out, err = run(capsys, *line.split(), "--out", str(target))
+        assert (code, code_to_file, out, err) == (EXIT_OK, EXIT_OK, "", "")
+        assert target.read_bytes() == shown.encode()
+
+    def test_scan_report_streams_until_the_reader_leaves(self, monkeypatch, tmp_path):
+        reports = []
+
+        def counted(n):
+            reports.append(n)
+            return disagreement_report(n)
+
+        class LeavesAfterTwoRows(io.StringIO):  # the header, then two report rows
+            def write(self, text):
+                if self.getvalue().count("\n") == 3:
+                    raise BrokenPipeError
+                return super().write(text)
+
+            def fileno(self):  # where `main` points devnull once the reader leaves
+                return spare.fileno()
+
+        spare = (tmp_path / "spare").open("w")
+        monkeypatch.setattr(cli, "disagreement_report", counted)
+        monkeypatch.setattr(sys, "stdout", LeavesAfterTwoRows())
+        with spare:
+            code = main(["divisor", "--scan", "10000", "--report"])
+        assert code == EXIT_BROKEN_PIPE
+        assert 2 <= len(reports) <= 3
+
     def test_n_and_scan_conflict(self, capsys):
         code, _, err = run(capsys, "divisor", "6", "--scan", "100")
         assert code == EXIT_USAGE and "error:" in err
@@ -332,6 +378,23 @@ class TestDivisorCommand:
         game = divisor_system(n).system
         assert payload["banzhaf"] == [str(v) for v in banzhaf_enum(game)[1].values]
         assert payload["shapley_shubik"] == [str(v) for v in ss_enum_subsets(game).values]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["divisor", "1000000000000000000"],
+            # the primes are checked, and the products split, by trial division
+            ["verify", "prop24", "--n", "6", "--p", "1000000000000000003",
+             "--m", "1000000000000000009"],
+        ],
+        ids=["divisor", "prop24"],
+    )
+    def test_n_over_the_trial_division_bound_exits_2_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error:") and "trial-division bound" in err
 
     def test_prime_n_is_degenerate_free_but_has_no_catalog(self, capsys):
         code, out, _ = run(capsys, "divisor", "24", "--format", "json")

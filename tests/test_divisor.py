@@ -1,7 +1,5 @@
 """Divisor-weighted majority games: construction, closed forms, census, CSV."""
 
-import csv
-import io
 from fractions import Fraction
 
 import pytest
@@ -29,7 +27,6 @@ from votingpower import (
     scan_abundant,
     sigma_of,
     sigma_range,
-    write_scan_report,
 )
 from votingpower import divisor
 from conftest import brute_count_winning
@@ -45,6 +42,11 @@ class TestArithmetic:
         for bad in (0, -3, True, "6"):
             with pytest.raises(InvalidInput):
                 divisors_of(bad)
+
+    def test_divisors_refuse_n_over_the_trial_division_bound(self):
+        limit = divisor.TRIAL_DIVISION_LIMIT
+        with pytest.raises(TooLarge, match="trial-division bound of 100000000000000"):
+            divisors_of(limit + 1)
 
     def test_sigma(self):
         assert sigma_of(6) == 12 and sigma_of(12) == 28 and sigma_of(496) == 992
@@ -269,14 +271,6 @@ class TestCsv:
 
     def test_not_applicable_marker(self):
         assert report_csv_row(disagreement_report(24))["formula_match"] == "NA"
-
-    def test_write_and_read_back(self):
-        buf = io.StringIO()
-        reports = [disagreement_report(n) for n in (12, 18, 20)]
-        write_scan_report(reports, buf)
-        rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
-        assert [r["n"] for r in rows] == ["12", "18", "20"]
-        assert all(r["formula_match"] == "Y" for r in rows)
 
 
 class TestCriticalPlayers:

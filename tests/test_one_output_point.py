@@ -1,25 +1,16 @@
-"""`votingpower.cli` writes stdout in one place: commands return what they show."""
+"""`votingpower.cli` writes output in one place: commands return what they show."""
 
 import ast
 from pathlib import Path
 
 import votingpower.cli
 
-# `_show` prints a command's result and `main` its errors; nothing else prints
+# `_show` writes a command's result and `main` its errors; nothing else prints
 ALLOWED = {"_show", "main"}
 
 
 def _writers(tree: ast.AST) -> list[str]:
-    """Top-level functions that call ``print`` or touch ``sys.stdout``, except
-    to hand it to ``write_scan_report``, which streams a scan report."""
-    streamed = {
-        id(node.args[1])
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "write_scan_report"
-        and len(node.args) == 2
-    }
+    """Top-level functions that call ``print`` or touch ``sys.stdout``."""
     found = []
     for func in tree.body:
         if not isinstance(func, ast.FunctionDef):
@@ -35,7 +26,6 @@ def _writers(tree: ast.AST) -> list[str]:
                 and node.attr == "stdout"
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "sys"
-                and id(node) not in streamed
             )
             if prints or stdout:
                 found.append(func.name)
@@ -43,7 +33,7 @@ def _writers(tree: ast.AST) -> list[str]:
     return found
 
 
-def test_checker_finds_print_and_stdout_but_not_streaming():
+def test_checker_finds_print_and_stdout():
     source = "\n".join(
         [
             "def a(): print('x')",
@@ -54,7 +44,7 @@ def test_checker_finds_print_and_stdout_but_not_streaming():
             "def e(): return 'x'",
         ]
     )
-    assert _writers(ast.parse(source)) == ["a", "b", "d"]
+    assert _writers(ast.parse(source)) == ["a", "b", "c", "d"]
 
 
 def test_only_the_renderer_and_main_write_stdout():
