@@ -20,9 +20,12 @@ sieve limit over `divisor.SIEVE_LIMIT` or an integer to trial-divide over
 stdout was closed (as on ``SIGPIPE``).
 
 Each ``cmd_*`` returns what it shows, and `main` writes it in the format asked
-for, to stdout or to the ``--out`` file.  Results print in full, past Python's
-digit limit for int strings.  The argument parser is built once per process,
-on the first `main` call, and reused by every later call.
+for, to stdout or to the ``--out`` file.  `main` opens that file before the
+command runs, as a shell redirection does: a path that cannot be written exits
+2 before any work, and a command that fails after the open leaves the file
+empty.  Results print in full, past Python's digit limit for int strings.  The
+argument parser is built once per process, on the first `main` call, and
+reused by every later call.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from contextlib import nullcontext
 from dataclasses import fields
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 from .claims import SUITES
 from .core import (
@@ -102,22 +105,17 @@ class _Shown(NamedTuple):
     code: int = EXIT_OK
 
 
-def _show(shown: _Shown, fmt: str, path: str | None) -> None:
-    """Write a result in ``fmt`` to the file at ``path``, or to stdout."""
-    try:
-        target = nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
-    except OSError as exc:
-        raise InvalidInput(f"cannot write {path}: {exc.strerror}") from exc
-    with target as out:
-        if fmt == "csv" or shown.payload is None:
-            csv.writer(out).writerows(shown.rows())
-        elif fmt == "json":
-            print(json.dumps(shown.payload, indent=2), file=out)
-        elif shown.lines is None:
-            items = shown.payload.items()
-            print("\n".join([f"{key}: {value}" for key, value in items]), file=out)
-        else:
-            print("\n".join(shown.lines()), file=out)
+def _show(shown: _Shown, fmt: str, out: TextIO) -> None:
+    """Write a result in ``fmt`` to ``out``, stdout or the opened ``--out`` file."""
+    if fmt == "csv" or shown.payload is None:
+        csv.writer(out).writerows(shown.rows())
+    elif fmt == "json":
+        print(json.dumps(shown.payload, indent=2), file=out)
+    elif shown.lines is None:
+        items = shown.payload.items()
+        print("\n".join([f"{key}: {value}" for key, value in items]), file=out)
+    else:
+        print("\n".join(shown.lines()), file=out)
 
 
 def _table(rows: Sequence[Sequence[str]]) -> list[str]:
@@ -580,8 +578,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         digits = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        shown = args.func(args)
-        _show(shown, args.format, getattr(args, "out", None))
+        # opened before the work, as a shell redirection is (see above)
+        path = getattr(args, "out", None)
+        try:
+            target = nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
+        except OSError as exc:
+            raise InvalidInput(f"cannot write {path}: {exc.strerror}") from exc
+        with target as out:
+            shown = args.func(args)
+            _show(shown, args.format, out)
         sys.stdout.flush()
         return shown.code
     except BrokenPipeError:  # the reader left: devnull keeps the flush at exit quiet

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Callable, Iterable
 
 from .core import IndexVector, QuotaMode, VotingSystem
@@ -58,8 +59,10 @@ def abundance_class(n: int) -> str:
     return "perfect" if excess == 0 else "abundant"
 
 
-#: Largest ``limit`` that `sigma_range` sieves.  Its list holds an int per n:
-#: about 0.5 GB at this bound, where 10**9 would need gigabytes.
+#: Largest ``limit`` that the divisor sieve runs to.  It fills two lists of an
+#: int per n, sigma(n) and the divisor count d(n): about 0.5 GB together at
+#: this bound (nearly every count is a shared small int, 8 bytes a slot),
+#: where 10**9 would need gigabytes.
 SIEVE_LIMIT = 10**7
 
 #: Largest ``n`` that `divisors_of` trial-divides: its loop runs to ``sqrt(n)``,
@@ -67,8 +70,11 @@ SIEVE_LIMIT = 10**7
 TRIAL_DIVISION_LIMIT = 10**14
 
 
-def sigma_range(limit: int) -> list[int]:
-    """``sigma(n)`` for every ``n`` from 1 to ``limit`` via a divisor sieve.
+def _divisor_sieve(limit: int) -> tuple[list[int], list[int]]:
+    """``sigma(n)`` and the divisor count ``d(n)`` for every ``n`` from 0 to
+    ``limit``, from one pass over the divisor pairs ``n = d * k``, ``d <= k``:
+    ``d`` and ``k`` are both divisors, one when ``k = d``.  That visits each
+    ``n`` once per pair, half as often as once per divisor.
 
     Raises `TooLarge` for a limit over `SIEVE_LIMIT`, before allocating.
     """
@@ -77,10 +83,22 @@ def sigma_range(limit: int) -> list[int]:
     if limit > SIEVE_LIMIT:
         raise TooLarge(f"limit {limit} is over the divisor sieve's bound of {SIEVE_LIMIT}")
     sig = [0] * (limit + 1)
-    for d in range(1, limit + 1):
-        for m in range(d, limit + 1, d):
-            sig[m] += d
-    return sig[1:]
+    count = [0] * (limit + 1)
+    for d in range(1, isqrt(limit) + 1):
+        sig[d * d] += d
+        count[d * d] += 1
+        for k in range(d + 1, limit // d + 1):
+            sig[d * k] += d + k
+            count[d * k] += 2
+    return sig, count
+
+
+def sigma_range(limit: int) -> list[int]:
+    """``sigma(n)`` for every ``n`` from 1 to ``limit`` via a divisor sieve.
+
+    Raises `TooLarge` for a limit over `SIEVE_LIMIT`, before allocating.
+    """
+    return _divisor_sieve(limit)[0][1:]
 
 
 @dataclass(frozen=True)
@@ -279,17 +297,12 @@ def scan_abundant(limit: int, divisor_count: int | None = None) -> list[tuple[in
 
     ``divisor_count`` filters to systems with exactly that many players.
     """
-    sig = sigma_range(limit)
-    out = []
-    for n in range(1, limit + 1):
-        excess = sig[n - 1] - 2 * n
-        if excess <= 0:
-            continue
-        d = len(divisors_of(n))
-        if divisor_count is not None and d != divisor_count:
-            continue
-        out.append((n, d, excess))
-    return out
+    sig, count = _divisor_sieve(limit)
+    return [
+        (n, count[n], sig[n] - 2 * n)
+        for n in range(1, limit + 1)
+        if sig[n] > 2 * n and divisor_count in (None, count[n])
+    ]
 
 
 @dataclass(frozen=True)

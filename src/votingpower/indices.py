@@ -31,7 +31,9 @@ int of one `_field_bits` wide field per size; `_banzhaf_index` and
   a shift and an add of that int, run in C.  Player ``i`` is then
   peeled off with the alternating chain ``E_s(<t) = P_s(<t) - E_{s-1}(<t - w_i)``,
   which visits about ``q / w_i`` points, and its window is what weighs
-  ``q - w_i`` to ``q - 1``; players of equal weight share one peel.
+  ``q - w_i`` to ``q - 1``; players of equal weight share one peel.  On the
+  single Banzhaf row the chain unrolls to two stride sums of the prefix
+  sums, ``P(<q) - 2 sum_j (-1)**(j-1) P(<q - j w_i)``, each one slice.
   Pseudo-polynomial in the quota, so dozens of players are fine when
   weights are modest integers; a table of more than ``2**23`` cells is
   refused with `TooLarge` before it is built.
@@ -46,14 +48,15 @@ else enumerates.
 
 from __future__ import annotations
 
+import struct
 import sys
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, permutations
+from itertools import accumulate, permutations, repeat
 from math import factorial, gcd
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from .core import IndexKind, IndexVector, QuotaMode, VotingSystem, scale_to_integers
 from .errors import DegenerateSystem, InvalidInput, TooLarge
@@ -113,11 +116,15 @@ def _field_bits(players: int, native: bool) -> int:
 
 
 def _unpack(data: bytes, width: int) -> Iterable[int]:
-    """The unsigned little-endian ints of ``width`` bytes each that ``data`` holds."""
-    view = memoryview(data)
+    """The unsigned little-endian ints of ``width`` bytes each that ``data`` holds.
+
+    Native widths are a cast of the bytes; any other is split into
+    ``width``-byte strings and each read as an int, both loops in C.
+    """
     if width in _NATIVE_FORMATS and sys.byteorder == "little":
-        return view.cast(_NATIVE_FORMATS[width])
-    return (int.from_bytes(view[i : i + width], "little") for i in range(0, len(data), width))
+        return memoryview(data).cast(_NATIVE_FORMATS[width])
+    chunks = map(itemgetter(0), struct.iter_unpack(f"{width}s", data))
+    return map(int.from_bytes, chunks, repeat("little"))
 
 
 def _field_dot(packed: int, coef: list[int], fields: int, bits: int) -> int:
@@ -290,7 +297,9 @@ def _size_window(sums: list[int], w: int, qmin: int, bits: int) -> int:
     player of weight ``w`` they are ``E(<t) = P(<t) - E(<t - w)``, and the
     window holds ``E(<qmin) - E(<qmin - w) = P(<qmin) - 2 E(<qmin - w)``; a
     player at or above ``qmin`` is not among the light ones, so ``E = P``.
-    With ``bits = 0`` that is the Banzhaf count.  On the packed rows of
+    With ``bits = 0`` that is the Banzhaf count, and the chain unrolls into
+    two stride sums: ``P(<qmin) - 2 sum_j (-1)**(j-1) P(<qmin - j w)`` over
+    ``j >= 1`` with ``qmin - j w >= 0`` (``P(<0)`` is 0).  On the packed rows of
     `_losing_prefix_sums` the same peel runs size by size:
     ``E_s(<t) = P_s(<t) - E_{s-1}(<t - w)`` is one shift of ``E`` by a field,
     and the window of size ``s`` holds
@@ -299,6 +308,10 @@ def _size_window(sums: list[int], w: int, qmin: int, bits: int) -> int:
     leaves the rows: ``E_{rows-1}(<qmin - w)`` is 0, since such a coalition
     and the player would be ``rows`` light players lighter than ``qmin``.
     """
+    if not bits:  # a slice start below 0 would wrap to the end of ``sums``
+        odd = sum(sums[qmin - w :: -2 * w]) if w <= qmin else 0
+        even = sum(sums[qmin - 2 * w :: -2 * w]) if 2 * w <= qmin else 0
+        return sums[qmin] - 2 * (odd - even)
     e = 0
     for t in _peel_points(w, qmin):
         e = sums[t] - (e << bits)

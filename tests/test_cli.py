@@ -318,6 +318,25 @@ class TestDivisorCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not target.parent.exists()
 
+    def test_unwritable_out_is_refused_before_the_work(self, capsys, monkeypatch, tmp_path):
+        def refused(*args):
+            raise AssertionError("the scan ran before --out was opened")
+
+        monkeypatch.setattr(cli, "scan_abundant", refused)
+        target = tmp_path / "missing" / "scan.csv"
+        code, out, err = run(
+            capsys, "divisor", "--scan", "1000000", "--report", "--out", str(target)
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+
+    def test_failing_command_leaves_out_empty(self, capsys, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("earlier output\n")
+        code, out, err = run(capsys, "divisor", "0", "--out", str(target))
+        assert (code, out) == (EXIT_USAGE, "") and err.startswith("error:")
+        assert target.read_bytes() == b""
+
     @pytest.mark.parametrize(
         "line",
         [

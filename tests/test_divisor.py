@@ -217,6 +217,20 @@ class TestScan:
             assert k == sigma_of(n) - 2 * n
             assert k > 0
 
+    def test_scan_counts_divisors_in_the_sieve(self, monkeypatch):
+        expected = [
+            (n, len(divisors_of(n)), sigma_of(n) - 2 * n)
+            for n in range(1, 401)
+            if sigma_of(n) > 2 * n
+        ]
+        monkeypatch.setattr(divisor, "divisors_of", None)  # the sieve alone counts
+        assert scan_abundant(400) == expected
+        assert scan_abundant(400, 12) == [t for t in expected if t[1] == 12]
+
+    def test_scan_refuses_a_limit_over_the_sieve_bound(self):
+        with pytest.raises(TooLarge, match="bound of 10000000"):
+            scan_abundant(divisor.SIEVE_LIMIT + 1)
+
     def test_scan_complete(self):
         listed = {n for n, _, _ in scan_abundant(150)}
         brute = {n for n in range(1, 151) if sigma_of(n) > 2 * n}

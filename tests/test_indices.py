@@ -38,7 +38,7 @@ from conftest import (
     random_system,
 )
 import fold_reference
-from list_kernel import prefix_sum_rows, reference_dp
+from list_kernel import pivot_weight, prefix_sum_rows, reference_dp, swings
 
 ENGINE_PAIRS = [
     ("banzhaf_enum", lambda s: banzhaf_enum(s)[1].values),
@@ -580,3 +580,50 @@ class TestPackedTable:
                     row[t] for row in reference
                 ]
         assert sum(row[qmin] for row in reference) == 1 << light
+
+
+class TestDecodeAndPeel:
+    """The C-level decode and the stride-sum Banzhaf peel against per-item loops."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(kernel_games())
+    @example(_system(3, (1, 1, 1)))  # w = 1: every point is a peel point
+    @example(_system(5, (7, 5, 2, 1)))  # w >= qmin: no peel point
+    @example(_system(5, (3, 1, 1, 1)))  # qmin < 2w: one odd point, no even one
+    @example(_system(6, (3, 2, 1, 1)))  # qmin = 2w: the even stride ends at 0
+    @example(_system(3, (2, 0, 1, 0)))  # zero weights
+    @example(_system(4, (3, 5)))  # a single light player
+    def test_stride_peel_matches_the_chain(self, s):
+        weights, qmin = indices._int_game(s)
+        if sum(weights) < qmin:
+            return  # the grand coalition loses: no table is built
+        (row,) = prefix_sum_rows(weights, qmin, by_size=False)
+        sums, rows, _ = indices._losing_prefix_sums(weights, qmin, by_size=False)
+        assert rows == 1 and sums == row
+        edges = {1, qmin // 2, (qmin + 1) // 2, qmin - 1, qmin, qmin + 1}
+        for w in (set(weights) | edges) - {0}:
+            assert indices._size_window(sums, w, qmin, 0) == swings(row, w, qmin), w
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 45])
+    def test_unpack_matches_int_from_bytes(self, width):
+        rng = random.Random(width)
+        for count in (0, 1, 5):
+            data = rng.randbytes(count * width)
+            expected = [
+                int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)
+            ]
+            assert list(indices._unpack(data, width)) == expected
+        assert list(indices._unpack(b"\xff" * width, width)) == [(1 << 8 * width) - 1]
+
+    @pytest.mark.parametrize("light, bits", [(16, 24), (23, 24), (32, 40), (39, 40)])
+    def test_field_dot_matches_the_list_kernel(self, light, bits):
+        weights = [1 + i % 3 for i in range(light)]
+        qmin = sum(weights) // 2
+        sums, rows, got_bits = indices._losing_prefix_sums(weights, qmin, by_size=True)
+        assert got_bits == bits
+        reference = prefix_sum_rows(weights, qmin, by_size=True)
+        coef = [factorial(s) * factorial(light - 1 - s) for s in range(rows)]
+        for w in set(weights):
+            window = indices._size_window(sums, w, qmin, bits)
+            expected = pivot_weight(reference, w, qmin, coef)
+            assert indices._field_dot(window, coef, rows, bits) == expected
