@@ -65,6 +65,7 @@ from .errors import (
     InvalidFamily,
     InvalidInput,
     PreconditionFailed,
+    TooLarge,
     UnsupportedCase,
 )
 from .fixedpoint import (
@@ -153,6 +154,16 @@ def cmd_index(args: argparse.Namespace) -> _Shown:
     )
     cap = args.max_players
     scaled = scale_to_integers(system)
+    # Shapley-Shubik first: its pass serves the Banzhaf and winning counts too
+    if args.index in ("ss", "both"):
+        try:
+            ss = shapley_shubik(system, args.engine, cap=cap)
+        except TooLarge:
+            # the count's one-row table is smaller: when it is refused too, report that
+            count_winning(system, args.engine, cap=cap)
+            raise
+    if args.index in ("banzhaf", "both"):
+        swings, bz = banzhaf(system, args.engine, cap=cap)
     payload: dict = {
         "quota": format_rational(system.quota),
         "mode": system.mode.value,
@@ -161,14 +172,12 @@ def cmd_index(args: argparse.Namespace) -> _Shown:
         "winning_coalitions": count_winning(system, args.engine, cap=cap),
     }
     if args.index in ("banzhaf", "both"):
-        swings, bz = banzhaf(system, args.engine, cap=cap)
         payload["banzhaf"] = {
             "values": _fmt(bz.values),
             "swings": list(swings.per_player),
             "total_swings": swings.total,
         }
     if args.index in ("ss", "both"):
-        ss = shapley_shubik(system, args.engine, cap=cap)
         payload["shapley_shubik"] = {"values": _fmt(ss.values)}
 
     def rows() -> list:

@@ -260,8 +260,13 @@ def disagreement_report(n: int) -> DisagreementReport:
     is checked against them.
     """
     ds = divisor_system(n)
+    # Shapley-Shubik first: its pass serves Banzhaf too
+    try:
+        ss = shapley_shubik(ds.system)
+    except TooLarge:
+        banzhaf(ds.system)  # its one-row table is smaller: when it is refused too, report that
+        raise
     _, bz = banzhaf(ds.system)
-    ss = shapley_shubik(ds.system)
     witnesses = tuple(
         [i for i, (b, s) in enumerate(zip(bz.values, ss.values)) if b != s]
     )

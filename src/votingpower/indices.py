@@ -43,7 +43,19 @@ to integers and divided by their gcd, and the engine runs on them.  `_route`
 makes that call for every engine it routes.  ``engine="auto"``, every
 caller's route, runs the DP above the enumeration cap or when its table fits
 its budget with no more cells than the ``2**n`` masks of enumeration, and
-else enumerates.
+else enumerates.  Enumeration over more than ``2**18`` masks per half (37
+players and up) is refused with `TooLarge` before a subset sum is built.
+
+One pass serves every quantity of a system.  A pass, `_Pass`, also yields
+the winning count: the field sum of ``total``, or ``2**n`` less the field
+sum of the losing prefix sum ``P(<q)``.  The three dispatchers keep the last
+pass in `_last_pass` and reuse it for the same system object (by identity,
+never by value) with the same engine and cap.  Shapley-Shubik reuses only a
+by-size pass; Banzhaf reuses either kind, a by-size window's count being its
+field sum, ``window % (2**bits - 1)`` (``2**bits`` is 1 modulo that, and no
+count reaches it); the winning count comes from any.  So a caller that wants
+several quantities asks for Shapley-Shubik first.  The named engines never
+touch the slot.
 """
 
 from __future__ import annotations
@@ -57,6 +69,7 @@ from fractions import Fraction
 from itertools import accumulate, permutations, repeat
 from math import factorial, gcd
 from operator import add, itemgetter, mul
+from typing import NamedTuple
 
 from .core import IndexKind, IndexVector, QuotaMode, VotingSystem, scale_to_integers
 from .errors import DegenerateSystem, InvalidInput, TooLarge
@@ -73,6 +86,11 @@ PERM_CAP = 9
 # int takes b / 8 bytes per cell, its prefix sums one int per weight.
 _DP_CELL_BUDGET = 1 << 23
 
+# Enumeration refuses more masks than this in a half of the players before
+# building their subset sums: at 2**18 (36 players) the split takes 2-3.4 s
+# and about 300 MB, and both grow about fourfold per two players.
+_SPLIT_BUDGET = 1 << 18
+
 
 @dataclass(frozen=True)
 class SwingCounts:
@@ -88,6 +106,45 @@ class PivotCounts:
 
     per_player: tuple[int, ...]
     total: int
+
+
+class _Pass(NamedTuple):
+    """One engine pass over ``system``, asked for with ``engine`` and ``cap``.
+
+    ``windows`` are the players' swing windows, by size (``fields`` fields of
+    ``bits`` each) or, not ``by_size``, plain swing counts (a DP's single row
+    has ``bits`` too); ``winning`` is the number of winning coalitions.
+    """
+
+    system: VotingSystem | None
+    engine: str
+    cap: int
+    by_size: bool
+    windows: list[int]
+    fields: int
+    bits: int
+    winning: int
+
+    def serves(self, system: VotingSystem, engine: str, cap: int) -> bool:
+        """Whether this pass is the one a call with these arguments would make."""
+        return self.system is system and self.engine == engine and self.cap == cap
+
+    def counts(self) -> list[int]:
+        """Each player's swing count: a by-size window's field sum, once per distinct window."""
+        if not self.by_size:
+            return self.windows
+        sums = {v: _field_sum(v, self.bits) for v in set(self.windows)}
+        return [sums[v] for v in self.windows]
+
+
+def _field_sum(packed: int, bits: int) -> int:
+    """The sum of the ``bits`` wide fields of ``packed``; ``packed`` itself for ``bits = 0``.
+
+    ``2**bits`` is 1 modulo ``2**bits - 1``, so ``packed`` is its field sum
+    modulo that; exact while the sum stays below it, as every swing and
+    coalition count here does (at most ``2**L`` or ``2**n``, the fields wider).
+    """
+    return packed % ((1 << bits) - 1) if bits else packed
 
 
 def _int_game(system: VotingSystem) -> tuple[list[int], int]:
@@ -177,8 +234,9 @@ def _winning_counts(weights: list[int], qmin: int, by_size: bool) -> Iterator[tu
         yield _fold(values)
 
 
-def _banzhaf_index(counts: list[int]) -> tuple[SwingCounts, IndexVector]:
-    """Banzhaf swing counts and index from each player's swing count."""
+def _banzhaf_index(pass_: _Pass) -> tuple[SwingCounts, IndexVector]:
+    """Banzhaf swing counts and index from each player's swing count in ``pass_``."""
+    counts = pass_.counts()
     total = sum(counts)
     if total == 0:  # unreachable once the grand coalition wins, kept as a guard
         raise DegenerateSystem("no player is ever critical")
@@ -186,9 +244,11 @@ def _banzhaf_index(counts: list[int]) -> tuple[SwingCounts, IndexVector]:
     return SwingCounts(tuple(counts), total), index
 
 
-def _ss_index(windows: list[int], fields: int, bits: int) -> IndexVector:
-    """Shapley-Shubik from each player's window of ``fields`` sizes, ``bits`` each,
-    weighed once per distinct window (players of equal weight share one)."""
+def _ss_index(pass_: _Pass) -> IndexVector:
+    """Shapley-Shubik from each player's window in a by-size ``pass_``, of ``fields``
+    sizes, ``bits`` each, weighed once per distinct window (players of equal
+    weight share one)."""
+    windows, fields, bits = pass_.windows, pass_.fields, pass_.bits
     n = len(windows)
     fact = [factorial(i) for i in range(n + 1)]
     coef = [fact[s] * fact[n - 1 - s] for s in range(fields)]
@@ -200,7 +260,7 @@ def banzhaf_enum(
     system: VotingSystem, *, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[SwingCounts, IndexVector]:
     """Banzhaf swing counts and index from all ``2**n`` coalitions."""
-    return _banzhaf_index(_windows(system, "enum", cap, by_size=False)[0])
+    return _banzhaf_index(_windows(system, "enum", cap, by_size=False))
 
 
 def ss_enum_perms(system: VotingSystem) -> tuple[PivotCounts, IndexVector]:
@@ -232,7 +292,7 @@ def ss_enum_perms(system: VotingSystem) -> tuple[PivotCounts, IndexVector]:
 
 def ss_enum_subsets(system: VotingSystem, *, cap: int = DEFAULT_ENUM_CAP) -> IndexVector:
     """Shapley-Shubik from all ``2**n`` coalitions, counted by size."""
-    return _ss_index(*_windows(system, "enum", cap, by_size=True))
+    return _ss_index(_windows(system, "enum", cap, by_size=True))
 
 
 def _table_rows(weights: list[int], qmin: int, by_size: bool) -> tuple[list[int], int]:
@@ -320,19 +380,20 @@ def _size_window(sums: list[int], w: int, qmin: int, bits: int) -> int:
 
 def banzhaf_dp(system: VotingSystem) -> tuple[SwingCounts, IndexVector]:
     """Banzhaf counts from the subset-weight generating function ``prod_j (1 + x**w_j)``."""
-    return _banzhaf_index(_windows(system, "dp", DEFAULT_ENUM_CAP, by_size=False)[0])
+    return _banzhaf_index(_windows(system, "dp", DEFAULT_ENUM_CAP, by_size=False))
 
 
 def ss_dp(system: VotingSystem) -> IndexVector:
     """Shapley-Shubik from the joint (cardinality, weight) generating function."""
-    return _ss_index(*_windows(system, "dp", DEFAULT_ENUM_CAP, by_size=True))
+    return _ss_index(_windows(system, "dp", DEFAULT_ENUM_CAP, by_size=True))
 
 
 def _route(
     system: VotingSystem, engine: str, cap: int, by_size: bool
 ) -> tuple[str, list[int], int]:
     """``engine``, or the pick for "auto" (see above), with the game scaled once by
-    `_int_game`; "enum" over ``cap`` is refused first, and a losing game takes the DP."""
+    `_int_game`; "enum" over ``cap`` is refused first, and a losing game takes the DP.
+    Enumeration over `_SPLIT_BUDGET` masks per half is refused, whichever route picked it."""
     if engine not in ("enum", "dp", "auto"):
         raise InvalidInput(f"unknown engine {engine!r} (expected enum, dp or auto)")
     if engine == "enum" and system.n > cap:
@@ -341,41 +402,72 @@ def _route(
     if engine == "auto" and system.n <= cap and sum(weights) >= qmin:
         cells = _table_rows(weights, qmin, by_size)[1] * qmin
         engine = "dp" if cells <= min(1 << system.n, _DP_CELL_BUDGET) else "enum"
-    return ("dp" if engine == "auto" else engine), weights, qmin
+    engine = "dp" if engine == "auto" else engine
+    masks = 1 << (system.n + 1) // 2
+    if engine == "enum" and masks > _SPLIT_BUDGET:
+        raise TooLarge(
+            f"enumeration needs {masks} masks per half of the players, "
+            f"over its budget of {_SPLIT_BUDGET}"
+        )
+    return engine, weights, qmin
 
 
-def _windows(
-    system: VotingSystem, engine: str, cap: int, by_size: bool
-) -> tuple[list[int], int, int]:
-    """Per player, the swing window of the routed engine; and the windows' field count
-    and width.  Enumeration's is ``(held >> bits) + held - total`` off
-    `_winning_counts` (see above); the DP's is peeled off its table, one peel
-    per distinct nonzero weight (a zero weight swings nothing)."""
-    engine, weights, qmin = _route(system, engine, cap, by_size)
+def _windows(system: VotingSystem, engine: str, cap: int, by_size: bool) -> _Pass:
+    """The pass of the engine `_route` picks: per player, the swing window, and the
+    winning count.  Enumeration's window is ``(held >> bits) + held - total``
+    off `_winning_counts` (see above), its winning count the field sum of
+    ``total``; the DP's window is peeled off its table, one peel per distinct
+    nonzero weight (a zero weight swings nothing), and its winning count is
+    ``2**n`` less the losing coalitions, ``P(<qmin)``."""
+    route, weights, qmin = _route(system, engine, cap, by_size)
     _require_winnable(weights, qmin)
-    if engine == "enum":
+    if route == "enum":
         bits = _field_bits(len(weights), native=True) if by_size else 0
         held = []
         for part, total in _winning_counts(weights, qmin, by_size):
             held += part
-        return [(h >> bits) + h - total for h in held], system.n, bits
+        windows = [(h >> bits) + h - total for h in held]
+        return _Pass(system, engine, cap, by_size, windows, system.n, bits, _field_sum(total, bits))
     sums, rows, bits = _losing_prefix_sums(weights, qmin, by_size)
-    peeled = {w: _size_window(sums, w, qmin, bits if by_size else 0) for w in set(weights) if w}
-    return [peeled.get(w, 0) for w in weights], rows, bits
+    size_bits = bits if by_size else 0  # a single row holds plain counts
+    peeled = {w: _size_window(sums, w, qmin, size_bits) for w in set(weights) if w}
+    windows = [peeled.get(w, 0) for w in weights]
+    winning = (1 << system.n) - _field_sum(sums[qmin], size_bits)
+    return _Pass(system, engine, cap, by_size, windows, rows, bits, winning)
+
+
+# The last pass a dispatcher made.  Only the three dispatchers name it: each
+# reads it once, and a pass replaces it in one assignment.  It holds the
+# windows, never a DP table.
+_last_pass = _Pass(None, "", 0, False, [], 0, 0, 0)
 
 
 def banzhaf(
     system: VotingSystem, engine: str = "auto", *, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[SwingCounts, IndexVector]:
-    """Banzhaf counts and index through the chosen engine (enum, dp or auto)."""
-    return _banzhaf_index(_windows(system, engine, cap, by_size=False)[0])
+    """Banzhaf counts and index through the chosen engine (enum, dp or auto).
+
+    Reuses the last pass over this ``system`` object with this engine and
+    cap, by size or not."""
+    global _last_pass
+    last = _last_pass
+    if not last.serves(system, engine, cap):
+        last = _last_pass = _windows(system, engine, cap, by_size=False)
+    return _banzhaf_index(last)
 
 
 def shapley_shubik(
     system: VotingSystem, engine: str = "auto", *, cap: int = DEFAULT_ENUM_CAP
 ) -> IndexVector:
-    """Shapley-Shubik index through the chosen engine (enum, dp or auto)."""
-    return _ss_index(*_windows(system, engine, cap, by_size=True))
+    """Shapley-Shubik index through the chosen engine (enum, dp or auto).
+
+    Reuses the last pass over this ``system`` object with this engine and
+    cap when it was by size; its pass serves `banzhaf` and `count_winning`."""
+    global _last_pass
+    last = _last_pass
+    if not (last.by_size and last.serves(system, engine, cap)):
+        last = _last_pass = _windows(system, engine, cap, by_size=True)
+    return _ss_index(last)
 
 
 def count_winning(
@@ -383,10 +475,14 @@ def count_winning(
 ) -> int:
     """Number of winning coalitions (the empty coalition counts as losing).
 
-    The DP counts the losing coalitions, which hold only players lighter than
-    the quota, and subtracts them from ``2**n``; it answers 0 at once when
-    the grand coalition loses.
+    Read off the last pass over this ``system`` object with this engine and
+    cap, if any.  Else the DP counts the losing coalitions, which hold only
+    players lighter than the quota, and subtracts them from ``2**n``; it
+    answers 0 at once when the grand coalition loses.
     """
+    last = _last_pass
+    if last.serves(system, engine, cap):
+        return last.winning
     engine, weights, qmin = _route(system, engine, cap, by_size=False)
     if engine == "enum":
         return next(_winning_counts(weights, qmin, by_size=False))[1]

@@ -168,6 +168,39 @@ class TestIndexCommand:
         assert child.returncode == EXIT_USAGE and child.stdout == ""
         assert child.stderr.startswith("error:") and child.stderr.count("\n") == 1
 
+    def test_enumeration_over_the_split_budget_exits_2_under_a_memory_cap(self):
+        # 48 players: 2**24 masks per half, over the split budget of 2**18
+        child = _run_capped(
+            "index", "--engine", "enum", "--max-players", "60", "--quota", "24",
+            "--weights", ",".join(["1"] * 48),
+        )
+        assert child.returncode == EXIT_USAGE and child.stdout == ""
+        assert child.stderr == (
+            "error: enumeration needs 16777216 masks per half of the players, "
+            "over its budget of 262144\n"
+        )
+
+    @pytest.mark.parametrize(
+        "quota, weights, cells",
+        [
+            # one row of 9000000 cells is refused, and so are the size rows
+            ("9000000", "10000000,1,1", "1 x 9000000"),
+            # one row of 140000 cells fits; 64 size rows of it do not
+            ("140000", ",".join(["140000"] + ["1"] * 63), "64 x 140000"),
+        ],
+        ids=["count-refused", "by-size-only"],
+    )
+    @pytest.mark.parametrize("index", ["ss", "both"])
+    def test_a_refused_dp_table_reports_the_smaller_one(self, capsys, index, quota, weights, cells):
+        code, out, err = run(
+            capsys, "index", "--engine", "dp", "--index", index, "--quota", quota,
+            "--weights", weights,
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            f"error: the dynamic program needs {cells} table cells, over its budget of 8388608\n"
+        )
+
     def test_17_players_over_mixed_denominators_enumerate(self, capsys):
         code, out, _ = run(
             capsys, "index", "--quota", "12", "--weights", MIXED_17_WEIGHTS, "--format", "json"
@@ -414,6 +447,16 @@ class TestDivisorCommand:
         assert time.perf_counter() - start < 1
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("error:") and "trial-division bound" in err
+
+    def test_a_refused_report_names_the_one_row_table(self, capsys):
+        # 26 divisors, past the enumeration cap: one row of the quota's width is
+        # already over the DP's budget, and the size rows are wider still
+        code, out, err = run(capsys, "divisor", "33550336")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: the dynamic program needs 1 x 33550337 table cells, "
+            "over its budget of 8388608\n"
+        )
 
     def test_prime_n_is_degenerate_free_but_has_no_catalog(self, capsys):
         code, out, _ = run(capsys, "divisor", "24", "--format", "json")

@@ -1,7 +1,9 @@
 """Engine tests: frozen values, oracle agreement, and structural properties."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -273,6 +275,33 @@ class TestCapsAndErrors:
         with pytest.raises(TooLarge):
             count_winning(s, "dp")
 
+    def test_enumeration_over_the_split_budget_is_refused_before_any_subset_sum(
+        self, monkeypatch
+    ):
+        def refused(weights):
+            raise AssertionError("subset sums built")
+
+        monkeypatch.setattr(indices, "_subset_sums", refused)
+        # 37 players: 2**19 masks in the larger half, over the budget of 2**18;
+        # the second is routed to enumeration by auto, its table over 2**23 cells
+        ones = _system(19, (1,) * 37)
+        wide = _system(19 * 10**6, range(10**6, 10**6 + 37))
+        calls = [
+            lambda: banzhaf(ones, "enum", cap=37),
+            lambda: shapley_shubik(ones, "enum", cap=37),
+            lambda: count_winning(ones, "enum", cap=37),
+            lambda: banzhaf_enum(ones, cap=40),
+            lambda: ss_enum_subsets(ones, cap=40),
+            lambda: banzhaf(wide, cap=40),
+            lambda: count_winning(wide, cap=40),
+        ]
+        for call in calls:
+            with pytest.raises(TooLarge, match="524288 masks per half"):
+                call()
+        at_budget = _system(18, (1,) * 36)
+        for by_size in (False, True):
+            assert indices._route(at_budget, "enum", 36, by_size)[0] == "enum"
+
     def test_strict_mode_at_exact_total(self):
         s = VotingSystem(quota=3, mode=QuotaMode.STRICTLY_EXCEEDS, weights=(2, 1))
         with pytest.raises(DegenerateSystem):
@@ -540,13 +569,16 @@ class TestSwingWindows:
                     engine(True)
             return
         expected = brute_size_windows(s)
+        winning = brute_count_winning(s)
         for engine in engines:
-            windows, fields, bits = engine(True)
+            _, _, _, _, windows, fields, bits, by_size_winning = engine(True)
             assert fields <= s.n and bits % 8 == 0
             assert all(0 <= v < 1 << fields * bits for v in windows)
             field = (1 << bits) - 1
             assert [[v >> k * bits & field for k in range(s.n)] for v in windows] == expected
-            assert engine(False)[0] == [sum(sizes) for sizes in expected]
+            plain = engine(False)
+            assert plain.windows == [sum(sizes) for sizes in expected]
+            assert by_size_winning == plain.winning == winning
 
 
 class TestPackedTable:
@@ -627,3 +659,84 @@ class TestDecodeAndPeel:
             window = indices._size_window(sums, w, qmin, bits)
             expected = pivot_weight(reference, w, qmin, coef)
             assert indices._field_dot(window, coef, rows, bits) == expected
+
+
+DISPATCHERS = (banzhaf, shapley_shubik, count_winning)
+REFUSALS = (DegenerateSystem, InvalidInput, TooLarge)
+
+
+def _dispatch(dispatcher, system: VotingSystem, engine: str, cap: int):
+    """A dispatcher's answer, or the type and message of its refusal."""
+    try:
+        return dispatcher(system, engine, cap=cap)
+    except REFUSALS as exc:
+        return type(exc), str(exc)
+
+
+class TestSharedPass:
+    """The dispatchers share the last pass over one system object.  In every
+    call order each answers, or refuses, as a call on a fresh equal copy does;
+    the named engines never use the shared pass."""
+
+    @staticmethod
+    def _check_every_order(system: VotingSystem, engine: str, cap: int) -> dict:
+        expected = {d: _dispatch(d, replace(system), engine, cap) for d in DISPATCHERS}
+        for order in permutations(DISPATCHERS):
+            one = replace(system)
+            for d in order + order:  # first calls, then calls after every pass
+                assert _dispatch(d, one, engine, cap) == expected[d], [f.__name__ for f in order]
+        return expected
+
+    @settings(deadline=None, max_examples=100)
+    @given(kernel_games(), st.sampled_from(("enum", "dp", "auto")))
+    # a DP single-row Banzhaf pass holds counts and a nonzero field width;
+    # Shapley-Shubik after it must not read it as a by-size pass
+    @example(_system(4, (3, 3, 1, 1, 1)), "dp")
+    @example(_system("1/2", ("1/3", "1/6", "1/4", "1/4"), QuotaMode.STRICTLY_EXCEEDS), "enum")
+    @example(_system(9, (2, 1, 0)), "auto")  # the grand coalition loses
+    def test_every_call_order_matches_fresh_calls(self, s, engine):
+        self._check_every_order(s, engine, DEFAULT_ENUM_CAP)
+
+    @pytest.mark.parametrize(
+        "s, engine, cap, refused",
+        [
+            # the grand coalition loses: both indices refuse, the count is 0
+            (_system(9, (2, 1, 0)), "dp", DEFAULT_ENUM_CAP, {banzhaf, shapley_shubik}),
+            (_system(9, (2, 1, 0)), "enum", DEFAULT_ENUM_CAP, {banzhaf, shapley_shubik}),
+            # enumeration over the cap, and over the split budget
+            (_system(2, (1,) * 5), "enum", 4, set(DISPATCHERS)),
+            (_system(19, (1,) * 37), "enum", 37, set(DISPATCHERS)),
+            # 64 size rows of 140000 cells are over the DP's budget, one row is not
+            (_system(140_000, (140_000,) + (1,) * 63), "dp", DEFAULT_ENUM_CAP, {shapley_shubik}),
+            (_system(140_000, (140_000,) + (1,) * 63), "auto", DEFAULT_ENUM_CAP, {shapley_shubik}),
+        ],
+        ids=[
+            "degenerate-dp", "degenerate-enum", "enum-over-cap", "enum-over-split-budget",
+            "by-size-only-dp", "by-size-only-auto",
+        ],
+    )
+    def test_every_call_order_refuses_as_fresh_calls_do(self, s, engine, cap, refused):
+        expected = self._check_every_order(s, engine, cap)
+        refusals = {d for d, r in expected.items() if isinstance(r, tuple) and r[0] in REFUSALS}
+        assert refusals == refused
+
+    @pytest.mark.parametrize("engine", ("enum", "dp", "auto"))
+    def test_named_engines_recompute_over_a_held_pass(self, monkeypatch, engine):
+        s = _system(4, (3, 3, 1, 1, 1))
+        passes = []
+        windows = indices._windows
+
+        def counted(*args, **kwargs):
+            passes.append(args)
+            return windows(*args, **kwargs)
+
+        monkeypatch.setattr(indices, "_windows", counted)
+        for dispatcher in (shapley_shubik, banzhaf, count_winning):
+            dispatcher(s, engine)
+        held = indices._last_pass
+        assert held.system is s and len(passes) == 1
+        named = (banzhaf_enum, banzhaf_dp, ss_enum_subsets, ss_dp)
+        for engine_call in named:
+            engine_call(s)
+        assert len(passes) == 1 + len(named)
+        assert indices._last_pass is held

@@ -1,8 +1,9 @@
 """Every engine choice goes through `indices`: no other module calls an engine
-directly, each engine call scales its game once, and no engine re-enters a
-public engine name."""
+directly, each engine call scales its game once (a reused pass not at all),
+and no engine re-enters a public engine name."""
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,12 @@ DISPATCHERS = (indices.banzhaf, indices.shapley_shubik, indices.count_winning)
 NAMED_ENGINES = (indices.banzhaf_enum, indices.banzhaf_dp, indices.ss_enum_subsets, indices.ss_dp)
 
 
+@pytest.fixture(autouse=True)
+def no_last_pass(monkeypatch):
+    """Each test starts with no pass to reuse, so a dispatcher call computes."""
+    monkeypatch.setattr(indices, "_last_pass", indices._Pass(None, "", 0, False, [], 0, 0, 0))
+
+
 @pytest.fixture
 def scalings(monkeypatch):
     """The systems `core.scale_to_integers` is called on, from `indices` and `cli`."""
@@ -75,11 +82,31 @@ def test_each_engine_call_scales_once(scalings, dispatcher, engine, system):
     assert scalings == [system]
 
 
-def test_index_command_scales_once_per_quantity(scalings, capsys):
-    # the printed scaled weights, the winning count and the two indices
+@pytest.mark.parametrize("engine, system", ROUTES, ids=ROUTE_IDS)
+def test_a_reused_pass_scales_nothing(scalings, engine, system):
+    indices.shapley_shubik(system, engine)
+    scalings.clear()
+    for dispatcher in DISPATCHERS:
+        dispatcher(system, engine)
+    assert scalings == []
+
+
+@pytest.mark.parametrize("engine, system", ROUTES, ids=ROUTE_IDS)
+def test_an_equal_system_built_later_is_computed_again(scalings, engine, system):
+    # the pass is kept for one object, never for its value
+    for dispatcher in DISPATCHERS:
+        indices.shapley_shubik(system, engine)
+        scalings.clear()
+        equal = replace(system)
+        dispatcher(equal, engine)
+        assert len(scalings) == 1 and scalings[0] is equal
+
+
+def test_index_command_scales_twice(scalings, capsys):
+    # the printed scaled weights, and the one pass that serves all three quantities
     argv = ["index", "--quota", "7", "--weights", "4,4,4,4,4,4,0", "--index", "both"]
     assert cli.main(argv) == 0
-    assert len(scalings) == 4
+    assert len(scalings) == 2
 
 
 @pytest.mark.parametrize("kind", tuple(IndexKind))
