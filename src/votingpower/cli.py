@@ -65,7 +65,6 @@ from .errors import (
     InvalidFamily,
     InvalidInput,
     PreconditionFailed,
-    TooLarge,
     UnsupportedCase,
 )
 from .fixedpoint import (
@@ -156,12 +155,7 @@ def cmd_index(args: argparse.Namespace) -> _Shown:
     scaled = scale_to_integers(system)
     # Shapley-Shubik first: its pass serves the Banzhaf and winning counts too
     if args.index in ("ss", "both"):
-        try:
-            ss = shapley_shubik(system, args.engine, cap=cap)
-        except TooLarge:
-            # the count's one-row table is smaller: when it is refused too, report that
-            count_winning(system, args.engine, cap=cap)
-            raise
+        ss = shapley_shubik(system, args.engine, cap=cap)
     if args.index in ("banzhaf", "both"):
         swings, bz = banzhaf(system, args.engine, cap=cap)
     payload: dict = {

@@ -39,8 +39,10 @@ def parse_rational(text: str) -> Fraction:
 
     The denominator must be a positive integer; a sign is only accepted on
     the numerator; each part has at most `_MAX_DIGITS` digits.  The value is
-    reduced to lowest terms automatically.
+    reduced to lowest terms automatically.  Anything but a `str` is refused.
     """
+    if not isinstance(text, str):
+        raise InvalidInput(f"not a rational number: {text!r} (expected a 'p' or 'p/q' string)")
     cleaned = text.strip()
     if not _RATIONAL_RE.match(cleaned):
         if _RATIONAL_RE.match(_LONG_DIGITS_RE.sub(r"\1", cleaned)):

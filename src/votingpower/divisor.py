@@ -261,11 +261,7 @@ def disagreement_report(n: int) -> DisagreementReport:
     """
     ds = divisor_system(n)
     # Shapley-Shubik first: its pass serves Banzhaf too
-    try:
-        ss = shapley_shubik(ds.system)
-    except TooLarge:
-        banzhaf(ds.system)  # its one-row table is smaller: when it is refused too, report that
-        raise
+    ss = shapley_shubik(ds.system)
     _, bz = banzhaf(ds.system)
     witnesses = tuple(
         [i for i, (b, s) in enumerate(zip(bz.values, ss.values)) if b != s]

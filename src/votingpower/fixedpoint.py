@@ -233,9 +233,7 @@ def ab_fixed_points(m: int) -> list[Fraction]:
 
     # Branch 2: 1/(2b) = t exactly, b = 1/(2t); the share count/(m+1) must
     # equal a = (2t - m)/(2t).
-    for t in range(m // 2 + 1, m + 2):
-        if m >= 2 * t:
-            continue
+    for t in range(m // 2 + 1, m + 2):  # 2t > m, so a > 0
         count = max(0, min(m, t) - max(0, m - t + 1) + 1)
         if 2 * t * count == (m + 1) * (2 * t - m):
             found.append(Fraction(1, 2 * t))

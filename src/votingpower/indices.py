@@ -10,33 +10,33 @@ int of one `_field_bits` wide field per size; `_banzhaf_index` and
 
 * ``ss_enum_perms`` walks all ``n!`` orderings — the ground-truth oracle for
   the Shapley-Shubik index, practical only for small ``n``.
-* ``banzhaf_enum`` / ``ss_enum_subsets`` / ``count_winning(engine="enum")``
-  count all ``2**n`` coalitions from two halves of the players (Klinz and
-  Woeginger's split), in about ``n * 2**(n/2)`` steps: one bisection per
-  mask of one half into the other half's sorted subset sums, then a halving
-  fold over the half's masks.  That gives, by size, the winning coalitions
-  ``held`` that hold ``i`` and all of them, ``total``.  Of the coalitions of
-  ``s`` others, ``held[s+1]`` win with ``i`` and ``total[s] - held[s]`` win
-  without it, so the window is ``(held >> bits) + held - total`` packed:
-  every field a count, nothing borrows, and ``bits = 0`` gives Banzhaf's
-  ``2 * held - total``.
-* ``banzhaf_dp`` / ``ss_dp`` / ``count_winning(engine="dp")`` share one
-  dynamic-programming kernel.  It expands ``prod_j (1 + y x**w_j)`` (``y``
-  marking coalition size, for Shapley-Shubik only) over the players lighter
-  than the quota and only below it, since a swing's losing side and every
-  losing coalition lie there, and keeps prefix sums.  The table is one
-  Python int, packed column by column: one column per weight below the
-  quota, one field per size row in it, each field `_field_bits` wide for
-  ``L`` light players, wider than any count.  A player's factor is
-  a shift and an add of that int, run in C.  Player ``i`` is then
+* ``banzhaf_enum`` / ``ss_enum_subsets`` count all ``2**n`` coalitions from
+  two halves of the players (Klinz and Woeginger's split), in about
+  ``n * 2**(n/2)`` steps: one bisection per mask of one half into the other
+  half's sorted subset sums, then a halving fold over the half's masks.
+  That gives, by size, the winning coalitions ``held`` that hold ``i`` and
+  all of them, ``total``.  Of the coalitions of ``s`` others, ``held[s+1]``
+  win with ``i`` and ``total[s] - held[s]`` win without it, so the window is
+  ``(held >> bits) + held - total`` packed: every field a count, nothing
+  borrows, and ``bits = 0`` gives Banzhaf's ``2 * held - total``.
+* ``banzhaf_dp`` / ``ss_dp`` share one dynamic-programming kernel.  It
+  expands ``prod_j (1 + y x**w_j)`` (``y`` marking coalition size, for
+  Shapley-Shubik only) over the players lighter than the quota and only
+  below it, since a swing's losing side and every losing coalition lie
+  there, and keeps prefix sums.  The table is one Python int, packed column
+  by column: one column per weight below the quota, one field per size row
+  in it, each field `_field_bits` wide for ``L`` light players, wider than
+  any count.  A player's factor is a shift and an add of that int, run in C.  Player ``i`` is then
   peeled off with the alternating chain ``E_s(<t) = P_s(<t) - E_{s-1}(<t - w_i)``,
   which visits about ``q / w_i`` points, and its window is what weighs
   ``q - w_i`` to ``q - 1``; players of equal weight share one peel.  On the
   single Banzhaf row the chain unrolls to two stride sums of the prefix
   sums, ``P(<q) - 2 sum_j (-1)**(j-1) P(<q - j w_i)``, each one slice.
   Pseudo-polynomial in the quota, so dozens of players are fine when
-  weights are modest integers; a table of more than ``2**23`` cells is
-  refused with `TooLarge` before it is built.
+  weights are modest integers; a table of more than ``2**23`` cells, or
+  whose int takes more than ``2**27`` bytes, is refused with `TooLarge`
+  before it is built.  A quota alone over the cell budget names the one-row
+  table, the smallest any quantity asks for.
 
 Every engine call scales the game once: `_int_game` gives the weights scaled
 to integers and divided by their gcd, and the engine runs on them.  `_route`
@@ -53,9 +53,10 @@ pass in `_last_pass` and reuse it for the same system object (by identity,
 never by value) with the same engine and cap.  Shapley-Shubik reuses only a
 by-size pass; Banzhaf reuses either kind, a by-size window's count being its
 field sum, ``window % (2**bits - 1)`` (``2**bits`` is 1 modulo that, and no
-count reaches it); the winning count comes from any.  So a caller that wants
-several quantities asks for Shapley-Shubik first.  The named engines never
-touch the slot.
+count reaches it); the winning count comes from any.  `count_winning` makes a
+one-row pass, as `banzhaf` does, when none serves it, and answers 0 for a
+losing game.  So a caller that wants several quantities asks for
+Shapley-Shubik first.  The named engines never touch the slot.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from __future__ import annotations
 import struct
 import sys
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, permutations, repeat
@@ -85,6 +86,11 @@ PERM_CAP = 9
 # field of b = _field_bits(L, rows == 1) bits for L light players: the table
 # int takes b / 8 bytes per cell, its prefix sums one int per weight.
 _DP_CELL_BUDGET = 1 << 23
+
+# They refuse a table int of more bytes than this too: wide fields (many light
+# players) can make one within the cell budget, and a build peaks at about 3.3
+# times one table int.
+_DP_BYTE_BUDGET = 1 << 27
 
 # Enumeration refuses more masks than this in a half of the players before
 # building their subset sums: at 2**18 (36 players) the split takes 2-3.4 s
@@ -212,9 +218,9 @@ def _fold(values: list) -> tuple[list, int]:
     return held[::-1], values[0]
 
 
-def _winning_counts(weights: list[int], qmin: int, by_size: bool) -> Iterator[tuple[list, int]]:
-    """Yield, for each half of the players in turn, ``(held, total)``: per player
-    of the half, the winning coalitions holding it, and all winning coalitions.
+def _winning_counts(weights: list[int], qmin: int, by_size: bool) -> tuple[list, int]:
+    """``(held, total)``: per player, the winning coalitions holding it, and all
+    winning coalitions; each half of the players is folded in turn.
 
     A count is an int or, ``by_size``, a packed int with a `_field_bits` wide
     field per coalition size.  The other half's subset sums are sorted
@@ -226,12 +232,15 @@ def _winning_counts(weights: list[int], qmin: int, by_size: bool) -> Iterator[tu
     halves = weights[: len(weights) // 2], weights[len(weights) // 2 :]
     # a mask's subset sum, and its size shifted to its field
     masks = [(_subset_sums(half), _subset_sums([bits] * len(half))) for half in halves]
+    held = []
     for (sums, shifts), (other, other_shifts) in zip(masks, masks[::-1]):
         heaviest = sorted(range(len(other)), key=other.__getitem__, reverse=True)
         negated = [-other[m] for m in heaviest]  # ascending, for bisect
         counts = list(accumulate([1 << other_shifts[m] for m in heaviest], initial=0))
         values = [counts[bisect_right(negated, v - qmin)] << s for v, s in zip(sums, shifts)]
-        yield _fold(values)
+        part, total = _fold(values)
+        held += part
+    return held, total
 
 
 def _banzhaf_index(pass_: _Pass) -> tuple[SwingCounts, IndexVector]:
@@ -326,13 +335,19 @@ def _losing_prefix_sums(
     """
     light, rows = _table_rows(weights, qmin, by_size)
     if rows * qmin > _DP_CELL_BUDGET:
+        named = 1 if qmin > _DP_CELL_BUDGET else rows  # the smallest table refused
         raise TooLarge(
-            f"the dynamic program needs {rows} x {qmin} table cells, "
+            f"the dynamic program needs {named} x {qmin} table cells, "
             f"over its budget of {_DP_CELL_BUDGET}"
         )
     bits = _field_bits(len(light), native=rows == 1)
     column = rows * bits
     size = qmin * column
+    if size // 8 > _DP_BYTE_BUDGET:
+        raise TooLarge(
+            f"the dynamic program needs {rows} x {qmin} table cells of {bits} bits, "
+            f"{size // 8} bytes, over its budget of {_DP_BYTE_BUDGET} bytes"
+        )
     table = 1
     for w in light:
         shift = w * column + by_size * bits
@@ -423,9 +438,7 @@ def _windows(system: VotingSystem, engine: str, cap: int, by_size: bool) -> _Pas
     _require_winnable(weights, qmin)
     if route == "enum":
         bits = _field_bits(len(weights), native=True) if by_size else 0
-        held = []
-        for part, total in _winning_counts(weights, qmin, by_size):
-            held += part
+        held, total = _winning_counts(weights, qmin, by_size)
         windows = [(h >> bits) + h - total for h in held]
         return _Pass(system, engine, cap, by_size, windows, system.n, bits, _field_sum(total, bits))
     sums, rows, bits = _losing_prefix_sums(weights, qmin, by_size)
@@ -476,17 +489,14 @@ def count_winning(
     """Number of winning coalitions (the empty coalition counts as losing).
 
     Read off the last pass over this ``system`` object with this engine and
-    cap, if any.  Else the DP counts the losing coalitions, which hold only
-    players lighter than the quota, and subtracts them from ``2**n``; it
-    answers 0 at once when the grand coalition loses.
+    cap, or off a new one-row pass, kept as `banzhaf` keeps it.  A game whose
+    grand coalition loses answers 0 before any table is built.
     """
+    global _last_pass
     last = _last_pass
-    if last.serves(system, engine, cap):
-        return last.winning
-    engine, weights, qmin = _route(system, engine, cap, by_size=False)
-    if engine == "enum":
-        return next(_winning_counts(weights, qmin, by_size=False))[1]
-    if sum(weights) < qmin:
-        return 0  # the grand coalition loses; no table as wide as the quota
-    sums, _, _ = _losing_prefix_sums(weights, qmin, by_size=False)
-    return (1 << system.n) - sums[qmin]
+    if not last.serves(system, engine, cap):
+        try:
+            last = _last_pass = _windows(system, engine, cap, by_size=False)
+        except DegenerateSystem:  # the grand coalition loses
+            return 0
+    return last.winning

@@ -761,6 +761,17 @@ def test_oversized_sieve_is_refused_under_a_memory_cap(argv):
     assert "Traceback" not in child.stderr
 
 
+def test_certify_over_the_dp_byte_budget_exits_2_under_a_memory_cap():
+    # 400 light players: 201 x 39901 cells are within the cell budget, but
+    # their 408-bit fields make one table int of 390 MiB
+    child = _run_capped("family", "ab", "--k", "200", "--c", "1", "--parity", "odd", "--certify")
+    assert child.returncode == EXIT_USAGE and child.stdout == ""
+    assert child.stderr == (
+        "error: the dynamic program needs 201 x 39901 table cells of 408 bits, "
+        "409025151 bytes, over its budget of 134217728 bytes\n"
+    )
+
+
 def _child_env(*path_dirs):
     """Environment for a child process that imports the package under test.
 

@@ -49,6 +49,11 @@ class TestParseRational:
         with pytest.raises(InvalidInput):
             parse_rational(text)
 
+    @pytest.mark.parametrize("value", [1, Fraction(1, 2), None, b"1/2", ["1"]])
+    def test_non_string_is_refused(self, value):
+        with pytest.raises(InvalidInput, match="expected a 'p' or 'p/q' string"):
+            parse_rational(value)
+
     @given(st.fractions())
     def test_round_trip(self, value):
         assert parse_rational(format_rational(value)) == value

@@ -508,3 +508,10 @@ class TestTraceSerialization:
             trace_from_dict(
                 {"kind": "banzhaf", "states": [], "outcome": {"type": "nope"}}
             )
+
+    def test_rejects_weights_that_are_not_strings(self):
+        # JSON numbers, not "p/q" strings: refused, not an AttributeError
+        with pytest.raises(InvalidInput):
+            trace_from_json(
+                '{"kind":"banzhaf","states":[[1]],"outcome":{"type":"fixed","index":0}}'
+            )

@@ -275,6 +275,25 @@ class TestCapsAndErrors:
         with pytest.raises(TooLarge):
             count_winning(s, "dp")
 
+    def test_a_quota_alone_over_the_cell_budget_names_the_one_row_table(self):
+        # three size rows of 9000000 cells, and one row of them: both refused
+        s = _system(9_000_000, (10_000_000, 1, 1))
+        for call in (lambda: shapley_shubik(s, "dp"), lambda: ss_dp(s), lambda: banzhaf_dp(s)):
+            with pytest.raises(TooLarge, match=r"needs 1 x 9000000 table cells"):
+                call()
+
+    @pytest.mark.parametrize("by_size", [False, True])
+    def test_a_table_int_over_the_byte_budget_is_refused(self, monkeypatch, by_size):
+        # five light players: one 8-bit row, or six 8-bit size rows, per column
+        monkeypatch.setattr(indices, "_DP_BYTE_BUDGET", 6000)
+        rows = 6 if by_size else 1
+        at_budget = 6000 // rows
+        sums, got_rows, bits = indices._losing_prefix_sums([1] * 5, at_budget, by_size)
+        assert (got_rows, bits, len(sums)) == (rows, 8, at_budget + 1)
+        over = 6000 // rows + 1
+        with pytest.raises(TooLarge, match=rf"{over * rows} bytes, over its budget of 6000 bytes"):
+            indices._losing_prefix_sums([1] * 5, over, by_size)
+
     def test_enumeration_over_the_split_budget_is_refused_before_any_subset_sum(
         self, monkeypatch
     ):
@@ -719,6 +738,23 @@ class TestSharedPass:
         expected = self._check_every_order(s, engine, cap)
         refusals = {d for d, r in expected.items() if isinstance(r, tuple) and r[0] in REFUSALS}
         assert refusals == refused
+
+    @pytest.mark.parametrize("engine", ("enum", "dp", "auto"))
+    def test_count_then_banzhaf_make_one_pass(self, monkeypatch, engine):
+        s = _system(4, (3, 3, 1, 1, 1))
+        passes = []
+        windows = indices._windows
+
+        def counted(*args, **kwargs):
+            passes.append(args)
+            return windows(*args, **kwargs)
+
+        expected = banzhaf_enum(replace(s))
+        monkeypatch.setattr(indices, "_windows", counted)
+        assert count_winning(s, engine) == brute_count_winning(s)
+        assert len(passes) == 1 and indices._last_pass.system is s
+        assert banzhaf(s, engine) == expected
+        assert len(passes) == 1
 
     @pytest.mark.parametrize("engine", ("enum", "dp", "auto"))
     def test_named_engines_recompute_over_a_held_pass(self, monkeypatch, engine):
