@@ -116,7 +116,7 @@ def _small_excess_witnesses(limit: int) -> dict[int, list[int]]:
 
 def _suite_census(limit: int) -> list[Check]:
     checks = []
-    scan = {n for n, _, _ in scan_abundant(min(limit, 100), 6)}
+    scan = {n for n, _, _ in scan_abundant(100, 6)}
     checks.append(
         _check(
             "abundant n<=100 with 6 divisors",

@@ -14,10 +14,10 @@ Two parametric families are analyzed in closed form, both with quota 1/2
   players of weight ``b``.
 
 For each family the heavy player's Shapley-Shubik share depends on ``b``
-only through ``floor(1/(2b))``, so the fixed-point equation ``heavy share ==
-a`` splits into finitely many linear branches; the solvers enumerate the
-branches and keep exactly the self-consistent ones.  All arithmetic is in
-`fractions.Fraction`.
+only through ``floor(1/(2b))``, so the fixed-point equation ``heavies *
+share == 1 - m*b`` splits into finitely many linear branches.  One integer
+solver, `_branch_points`, takes the heavy count and a share kernel, and keeps
+exactly the self-consistent branches.  Results are `fractions.Fraction`.
 """
 
 from __future__ import annotations
@@ -47,7 +47,12 @@ DEFAULT_MAX_ITERS = 100
 # O(m) binomials; above this light count one call takes seconds, so it is refused.
 _SOLVE_MAX_M = 200_000
 
+#: Heavy players per family shape; they share ``1 - m*b`` equally.
+_HEAVIES = {"ab": 1, "aab": 2}
+
 WeightVector = tuple[Fraction, ...]
+#: A branch kernel: the heavy share ``(num, den)`` given ``m`` and ``floor(1/(2b))``.
+Share = Callable[[int, int], tuple[int, int]]
 
 
 def _comb0(n: int, k: int) -> int:
@@ -66,7 +71,8 @@ def _check_solve_count(m: int) -> None:
         raise TooLarge(f"m = {m} light players is over the solvers' bound of {_SOLVE_MAX_M}")
 
 
-def _check_family_args(m: int, b) -> Fraction:
+def _family_half(m: int, b) -> Fraction:
+    """``1/(2b)`` for a family member with ``m`` lights of weight ``b``, once both are checked."""
     _check_light_count(m)
     b = to_rational(b)
     if b <= 0:
@@ -75,7 +81,7 @@ def _check_family_args(m: int, b) -> Fraction:
         raise InvalidFamily(
             f"light weights must leave positive heavy weight: m*b = {m * b} >= 1"
         )
-    return b
+    return Fraction(1, 2) / b
 
 
 def _floor_gate(b: Fraction, want_floor: int) -> str:
@@ -87,6 +93,21 @@ def _floor_gate(b: Fraction, want_floor: int) -> str:
     if floor(half) != want_floor:
         return f"floor(1/(2b)) = {floor(half)}, construction needs {want_floor}"
     return ""
+
+
+def _branch_points(heavies: int, m: int, share: Share, floors: range) -> list[Fraction]:
+    """Each light weight ``b`` with ``heavies * share(m, f) == 1 - m*b`` and ``floor(1/(2b))
+    == f`` off the integer boundary, in ``floors`` order.  With ``rest = den - heavies*num``
+    the branch gives ``b = rest/(m*den)``; it is checked in integers."""
+    found = []
+    for f in floors:
+        num, den = share(m, f)
+        rest = den - heavies * num
+        if 0 < rest < den:  # b > 0 and the heavy weight > 0
+            floor_half, off = divmod(m * den, 2 * rest)  # 1/(2b) = m*den/(2*rest)
+            if off and floor_half == f:
+                found.append(Fraction(rest, m * den))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +124,17 @@ def ab_heavy_ss_power(m: int, b) -> Fraction:
     admissible ``j`` divided by ``m + 1``.  Valid for every positive ``b``
     with ``m*b < 1``, including ``1/(2b)`` integer.
     """
-    b = _check_family_args(m, b)
-    half = Fraction(1, 2) / b
+    half = _family_half(m, b)
     hi = min(m, floor(half))
     lo = max(0, floor(m - half) + 1)
     return Fraction(max(0, hi - lo + 1), m + 1)
+
+
+def _ab_share_given_floor(m: int, f: int) -> tuple[int, int]:
+    """Heavy player's Shapley-Shubik share as ``(num, den)``, assuming
+    ``floor(1/(2b)) == f`` and ``1/(2b)`` not an integer: it is pivotal for
+    the light counts ``m - f <= j <= f`` of the ``m + 1`` equally likely."""
+    return max(0, min(m, f) - max(0, m - f) + 1), m + 1
 
 
 @dataclass(frozen=True)
@@ -128,8 +155,7 @@ def ab_banzhaf_indices(m: int, b) -> BanzhafPair:
     ``C(m, j+1) = C(m, j) * (m-j) / (j+1)``.
     """
     _check_solve_count(m)
-    b = _check_family_args(m, b)
-    half = Fraction(1, 2) / b
+    half = _family_half(m, b)
     p_min = floor(half) + 1
     q0 = floor(m - half) + 1
     light = _comb0(m - 1, p_min - 1) + _comb0(m - 1, q0 - 1)
@@ -164,8 +190,19 @@ class FamilySpec:
     reason: str
 
     def weights(self) -> WeightVector:
-        heavies = 1 if self.shape == "ab" else 2
-        return (self.heavy_weight,) * heavies + (self.light_weight,) * self.m
+        return (self.heavy_weight,) * _HEAVIES[self.shape] + (self.light_weight,) * self.m
+
+
+def _family_spec(
+    shape: str, m: int, k: int, offset: int | None, b: Fraction, want_floor: int, share: Share
+) -> FamilySpec:
+    """The ``shape`` member with ``m`` lights of weight ``b``, valid when ``floor(1/(2b))`` is
+    ``want_floor`` off the integer boundary and the branch share there is the heavy weight."""
+    a = (1 - m * b) / _HEAVIES[shape]
+    reason = _floor_gate(b, want_floor)
+    if not reason and Fraction(*share(m, want_floor)) != a:
+        reason = "branch share does not return the heavy weight"
+    return FamilySpec(shape, m, k, offset, a, b, not reason, reason)
 
 
 def ab_family_point(k: int, c: int, parity: str) -> FamilySpec:
@@ -196,17 +233,7 @@ def ab_family_point(k: int, c: int, parity: str) -> FamilySpec:
         raise InvalidFamily(f"parity must be 'odd' or 'even', got {parity!r}")
     if a != 1 - m * b:
         raise InvariantViolation(f"heavy weight {a} is not 1 - {m}*{b}")
-    reason = _floor_gate(b, want_floor)
-    return FamilySpec(
-        shape="ab",
-        m=m,
-        k=k,
-        offset=c,
-        heavy_weight=a,
-        light_weight=b,
-        valid=not reason,
-        reason=reason,
-    )
+    return _family_spec("ab", m, k, c, b, want_floor, _ab_share_given_floor)
 
 
 def ab_fixed_points(m: int) -> list[Fraction]:
@@ -218,18 +245,8 @@ def ab_fixed_points(m: int) -> list[Fraction]:
     their own branches.  Degenerate solutions with ``a = 0`` are dropped.
     """
     _check_solve_count(m)
-    found: list[Fraction] = []
-
-    # Branch 1: 1/(2b) strictly between f and f+1.  The heavy is pivotal for
-    # ``count`` of the m+1 light counts, so a = count/(m+1) and
-    # b = (m+1-count)/(m(m+1)), and 1/(2b) = m(m+1) / (2(m+1-count)).
-    for f in range(m // 2, m + 2):
-        count = max(0, min(m, f) - max(0, m - f) + 1)
-        if not 0 < count <= m:  # b <= 0, or a = 1 - m*b <= 0
-            continue
-        floor_half, rest = divmod(m * (m + 1), 2 * (m + 1 - count))
-        if rest and floor_half == f:
-            found.append(Fraction(m + 1 - count, m * (m + 1)))
+    # Branch 1: 1/(2b) strictly between f and f+1.
+    found = _branch_points(1, m, _ab_share_given_floor, range(m // 2, m + 2))
 
     # Branch 2: 1/(2b) = t exactly, b = 1/(2t); the share count/(m+1) must
     # equal a = (2t - m)/(2t).
@@ -261,10 +278,10 @@ def _span_sum(lo: int, hi: int) -> int:
     return (lo + hi) * (hi - lo + 1) // 2 if hi >= lo else 0
 
 
-def _aab_power_given_floor(m: int, f: int) -> Fraction:
-    """Heavy player's Shapley-Shubik share assuming ``floor(1/(2b)) == f``
-    and ``1/(2b)`` not an integer; linear-branch kernel shared by the power
-    evaluator and the solver.
+def _aab_power_given_floor(m: int, f: int) -> tuple[int, int]:
+    """Heavy player's Shapley-Shubik share as ``(num, den)``, assuming
+    ``floor(1/(2b)) == f`` and ``1/(2b)`` not an integer; linear-branch
+    kernel shared by the power evaluator, the solver and the class gate.
 
     With ``top = m + 1``, the numerator sums ``top - p`` over ``k < p <=
     min(f, m)`` and ``p + 1`` over ``max(m - f, 0) <= p <= k``; both are
@@ -273,7 +290,7 @@ def _aab_power_given_floor(m: int, f: int) -> Fraction:
     k = m // 2
     top = m + 1
     num = _span_sum(top - min(f, m), top - k - 1) + _span_sum(max(m - f, 0) + 1, k + 1)
-    return Fraction(num, top * (top + 1))
+    return num, top * (top + 1)
 
 
 def aab_heavy_ss_power(m: int, b) -> Fraction:
@@ -284,13 +301,10 @@ def aab_heavy_ss_power(m: int, b) -> Fraction:
     `IntegerBoundary` is raised rather than returning a wrong value.  (Exact
     engines still handle boundary weight vectors directly.)
     """
-    b = _check_family_args(m, b)
-    half = Fraction(1, 2) / b
+    half = _family_half(m, b)
     if half.denominator == 1:
-        raise IntegerBoundary(
-            f"1/(2b) = {half} is an integer; the branch formula does not apply"
-        )
-    return _aab_power_given_floor(m, floor(half))
+        raise IntegerBoundary(f"1/(2b) = {half} is an integer; the branch formula does not apply")
+    return Fraction(*_aab_power_given_floor(m, floor(half)))
 
 
 def aab_fixed_points(m: int) -> list[Fraction]:
@@ -304,18 +318,8 @@ def aab_fixed_points(m: int) -> list[Fraction]:
     is dropped as trivial.
     """
     _check_solve_count(m)
-    found: set[Fraction] = set()
-    for f in range(max(1, m // 2), m + 3):
-        power = _aab_power_given_floor(m, f)
-        b = (1 - 2 * power) / m
-        if b <= 0 or m * b >= 1:
-            continue
-        if _floor_gate(b, f):
-            continue
-        if power == b:  # a == b: the uninformative all-equal point
-            continue
-        found.add(b)
-    return sorted(found)
+    found = _branch_points(2, m, _aab_power_given_floor, range(max(1, m // 2), m + 3))
+    return sorted(b for b in found if 2 * b != 1 - m * b)  # a == b: all equal
 
 
 def aab_fixed_point_classes(k: int, parity: str) -> list[FamilySpec]:
@@ -330,36 +334,17 @@ def aab_fixed_point_classes(k: int, parity: str) -> list[FamilySpec]:
         raise InvalidFamily(f"k must be a positive integer, got {k!r}")
     if parity == "even":
         m = 2 * k
-        candidates = [
-            (Fraction(1, 2 * k + 1), k),
-            (Fraction(k, (k + 1) * (2 * k + 1)), k + 1),
-        ]
+        candidates = [(Fraction(1, 2 * k + 1), k), (Fraction(k, (k + 1) * (2 * k + 1)), k + 1)]
     elif parity == "odd":
         # 1/(2b) = (2k+2) - 1/(2k+2), so its floor is always 2k+1.
         m = 2 * k + 1
         candidates = [(Fraction(k + 1, (2 * k + 1) * (2 * k + 3)), 2 * k + 1)]
     else:
         raise InvalidFamily(f"parity must be 'odd' or 'even', got {parity!r}")
-
-    out = []
-    for b, want_floor in candidates:
-        a = (1 - m * b) / 2
-        reason = _floor_gate(b, want_floor)
-        if not reason and _aab_power_given_floor(m, want_floor) != a:
-            reason = "branch share does not return the heavy weight"
-        out.append(
-            FamilySpec(
-                shape="aab",
-                m=m,
-                k=k,
-                offset=None,
-                heavy_weight=a,
-                light_weight=b,
-                valid=not reason,
-                reason=reason,
-            )
-        )
-    return out
+    return [
+        _family_spec("aab", m, k, None, b, want_floor, _aab_power_given_floor)
+        for b, want_floor in candidates
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +464,7 @@ def trace_from_dict(data: dict) -> IterationTrace:
     """Inverse of `trace_to_dict`."""
     try:
         kind = IndexKind(data["kind"])
-        states = tuple(
-            [tuple([parse_rational(w) for w in state]) for state in data["states"]]
-        )
+        states = tuple([tuple([parse_rational(w) for w in state]) for state in data["states"]])
         raw = data["outcome"]
         cls = next((cls for tag, cls in _OUTCOME_TAGS.items() if tag == raw["type"]), None)
         if cls is None:
@@ -489,6 +472,13 @@ def trace_from_dict(data: dict) -> IterationTrace:
         outcome: Outcome = cls(**{f.name: int(raw[f.name]) for f in fields(cls)})
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed trace payload: {exc}") from exc
+    n = len(states)
+    if isinstance(outcome, Cycle):  # a return to the last state is a fixed point, not a cycle
+        ends = 0 <= outcome.entry < n - 1 and outcome.entry + outcome.length == n
+    else:
+        ends = (outcome.index if isinstance(outcome, FixedPoint) else outcome.max_iters) == n - 1
+    if not ends or len({len(state) for state in states}) != 1:
+        raise InvalidInput(f"no run of iterate gives {n} states of these sizes and {outcome}")
     return IterationTrace(kind=kind, states=states, outcome=outcome)
 
 

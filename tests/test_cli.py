@@ -747,6 +747,12 @@ class TestVerifyCommand:
         assert "FINDING excess=4 witness n=1888:" in out
         assert "PASS    excess=4 witnesses up to 1000: found [12, 70, 88]" in out
 
+    def test_census_below_twenty_still_finds_the_three_to_100(self, capsys):
+        # the six-divisor check names n <= 100 whatever the limit
+        code, out, _ = run(capsys, "verify", "prop22census", "--limit", "19")
+        assert code == EXIT_OK and ", 0 failed" in out
+        assert "found [12, 18, 20]" in out
+
 
 # a divisor sieve over 10**9 numbers needs gigabytes: refused before it is allocated
 @pytest.mark.parametrize(

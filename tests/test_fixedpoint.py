@@ -1,6 +1,8 @@
 """Weight families, fixed-point solvers, and index-map iteration."""
 
+import hashlib
 import itertools
+from dataclasses import astuple
 from fractions import Fraction
 from math import comb, floor
 
@@ -236,10 +238,6 @@ class TestOneHeavySolver:
         for m in range(1, 13):
             assert F(1, m + 1) in ab_fixed_points(m)
 
-    def test_integer_branches_match_the_fraction_formulation(self):
-        for m in range(1, 201):
-            assert ab_fixed_points(m) == _ab_fixed_points_by_fractions(m), m
-
 
 def _ab_fixed_points_by_fractions(m):
     """The one-heavy solver in `Fraction`s, each branch checked through the
@@ -255,6 +253,28 @@ def _ab_fixed_points_by_fractions(m):
         if m * b < 1 and ab_heavy_ss_power(m, b) == 1 - m * b:
             found.add(b)
     return sorted(found)
+
+
+def _aab_fixed_points_by_fractions(m):
+    """The two-heavy solver in `Fraction`s, each branch checked through the
+    share kernel and the floor gate: the integer solver's reference."""
+    found = set()
+    for f in range(max(1, m // 2), m + 3):
+        power = F(*fixedpoint._aab_power_given_floor(m, f))
+        b = (1 - 2 * power) / m
+        if 0 < b and m * b < 1 and not fixedpoint._floor_gate(b, f) and power != b:
+            found.add(b)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("shape", ["ab", "aab"])
+def test_integer_branches_match_the_fraction_formulation(shape):
+    solve, reference = {
+        "ab": (ab_fixed_points, _ab_fixed_points_by_fractions),
+        "aab": (aab_fixed_points, _aab_fixed_points_by_fractions),
+    }[shape]
+    for m in range(1, 201):
+        assert solve(m) == reference(m), m
 
 
 class TestTwoHeavySsPower:
@@ -341,8 +361,12 @@ class TestTwoHeavySolver:
         closed = {m: aab_fixed_points(m) for m in range(1, 201)}
         for m in closed:
             for f in range(2 * m + 4):
-                assert fixedpoint._aab_power_given_floor(m, f) == _aab_power_by_series(m, f)
-        monkeypatch.setattr(fixedpoint, "_aab_power_given_floor", _aab_power_by_series)
+                assert F(*fixedpoint._aab_power_given_floor(m, f)) == _aab_power_by_series(m, f)
+        monkeypatch.setattr(
+            fixedpoint,
+            "_aab_power_given_floor",
+            lambda m, f: _aab_power_by_series(m, f).as_integer_ratio(),
+        )
         assert {m: aab_fixed_points(m) for m in closed} == closed
 
     def test_solvers_refuse_over_the_bound(self):
@@ -392,6 +416,24 @@ class TestTwoHeavyClasses:
             aab_fixed_point_classes(0, "even")
         with pytest.raises(InvalidFamily):
             aab_fixed_point_classes(2, "diagonal")
+
+
+def test_family_specs_match_the_pinned_digest():
+    # every one-heavy point for k < 80 and two-heavy class for k < 200, as
+    # the separate per-family builders gave them
+    specs = [
+        ab_family_point(k, c, parity)
+        for k in range(2, 80)
+        for c in range(1, k)
+        for parity in ("odd", "even")
+    ]
+    for k in range(1, 200):
+        specs += aab_fixed_point_classes(k, "even") + aab_fixed_point_classes(k, "odd")
+    text = "".join(" ".join(map(str, astuple(spec))) + "\n" for spec in specs)
+    assert len(specs) == 6759
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6ea411de156e690055845556b299ec83905db061604ec7bf66cc3b4874fb1379"
+    )
 
 
 class TestJointBanzhaf:
@@ -508,6 +550,38 @@ class TestTraceSerialization:
             trace_from_dict(
                 {"kind": "banzhaf", "states": [], "outcome": {"type": "nope"}}
             )
+
+    @pytest.mark.parametrize(
+        "states,outcome",
+        [
+            ([], {"type": "fixed", "index": 5}),
+            ([], {"type": "fixed", "index": -1}),
+            ([["1/2", "1/2"], ["1"]], {"type": "max_iters", "max_iters": 1}),
+            ([["1/2", "1/2"], ["1", "0"]], {"type": "fixed", "index": 0}),
+            ([["1/2", "1/2"], ["1", "0"]], {"type": "max_iters", "max_iters": 2}),
+            ([["1"], ["1"], ["1"]], {"type": "cycle", "entry": 2, "length": 1}),
+            ([["1"], ["1"], ["1"]], {"type": "cycle", "entry": -1, "length": 4}),
+            ([["1"], ["1"], ["1"]], {"type": "cycle", "entry": 0, "length": 2}),
+        ],
+        ids=[
+            "empty-fixed-at-5",
+            "empty",
+            "ragged",
+            "fixed-not-last",
+            "max-iters-off-by-one",
+            "cycle-of-one",
+            "cycle-before-the-start",
+            "cycle-short-of-the-end",
+        ],
+    )
+    def test_rejects_traces_iterate_cannot_produce(self, states, outcome):
+        with pytest.raises(InvalidInput):
+            trace_from_dict({"kind": "banzhaf", "states": states, "outcome": outcome})
+
+    def test_accepts_a_cycle_that_returns_to_its_entry(self):
+        payload = {"kind": "banzhaf", "states": [["1"]] * 3}
+        payload["outcome"] = {"type": "cycle", "entry": 1, "length": 2}
+        assert trace_from_dict(payload).outcome == Cycle(entry=1, length=2)
 
     def test_rejects_weights_that_are_not_strings(self):
         # JSON numbers, not "p/q" strings: refused, not an AttributeError
