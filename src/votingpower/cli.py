@@ -13,11 +13,13 @@ Subcommands:
 * ``verify`` — run the claim suites of `votingpower.claims`, which re-derive
   the paper's claims from scratch, and report PASS/FAIL per check.
 
-Exit codes: 0 success, 1 a verified check failed, 2 bad usage, malformed
+Exit codes: 0 success, 1 a verified check failed or an invariant the code
+relies on broke (`errors.InvariantViolation`), 2 bad usage, malformed
 input, an ``--out`` file that cannot be written, a table over its budget, a
 sieve limit over `divisor.SIEVE_LIMIT` or an integer to trial-divide over
 `divisor.TRIAL_DIVISION_LIMIT`, 3 the requested system is degenerate, 141
-stdout was closed (as on ``SIGPIPE``).
+stdout was closed (as on ``SIGPIPE``).  Every package error prints one
+``error:`` line, never a traceback.
 
 Each ``cmd_*`` returns what it shows, and `main` writes it in the format asked
 for, to stdout or to the ``--out`` file.  `main` opens that file before the
@@ -59,14 +61,7 @@ from .divisor import (
     report_csv_row,
     scan_abundant,
 )
-from .errors import (
-    DegenerateSystem,
-    InvalidCoalition,
-    InvalidFamily,
-    InvalidInput,
-    PreconditionFailed,
-    UnsupportedCase,
-)
+from .errors import DegenerateSystem, InvalidInput, InvariantViolation, VotingPowerError
 from .fixedpoint import (
     FamilySpec,
     aab_fixed_point_classes,
@@ -598,15 +593,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DegenerateSystem as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (
-        InvalidInput,
-        InvalidCoalition,
-        InvalidFamily,
-        UnsupportedCase,
-        PreconditionFailed,
-    ) as exc:
+    except VotingPowerError as exc:  # a broken invariant is a defect: 1, as a failed check
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_CHECK_FAILED if isinstance(exc, InvariantViolation) else EXIT_USAGE
     finally:
         if lifted:
             sys.set_int_max_str_digits(digits)

@@ -479,6 +479,8 @@ def trace_from_dict(data: dict) -> IterationTrace:
         ends = (outcome.index if isinstance(outcome, FixedPoint) else outcome.max_iters) == n - 1
     if not ends or len({len(state) for state in states}) != 1:
         raise InvalidInput(f"no run of iterate gives {n} states of these sizes and {outcome}")
+    if any(sum(state) != 1 or min(state) < 0 for state in states):
+        raise InvalidInput("every state iterate writes is non-negative and sums to 1")
     return IterationTrace(kind=kind, states=states, outcome=outcome)
 
 

@@ -40,11 +40,13 @@ int of one `_field_bits` wide field per size; `_banzhaf_index` and
 
 Every engine call scales the game once: `_int_game` gives the weights scaled
 to integers and divided by their gcd, and the engine runs on them.  `_route`
-makes that call for every engine it routes.  ``engine="auto"``, every
-caller's route, runs the DP above the enumeration cap or when its table fits
-its budget with no more cells than the ``2**n`` masks of enumeration, and
-else enumerates.  Enumeration over more than ``2**18`` masks per half (37
-players and up) is refused with `TooLarge` before a subset sum is built.
+makes that call for every engine it routes, and refuses a game whose grand
+coalition loses right after it.  ``engine="auto"``, every caller's route,
+picks from that integer game alone: the DP when its table fits its budget
+with no more cells than the ``2**n`` masks of enumeration, else enumeration.
+The enumeration cap guards only ``engine="enum"``.  Enumeration over more
+than ``2**18`` masks per half (37 players and up) is refused with `TooLarge`
+before a subset sum is built, whichever route picked it.
 
 One pass serves every quantity of a system.  A pass, `_Pass`, also yields
 the winning count: the field sum of ``total``, or ``2**n`` less the field
@@ -406,18 +408,18 @@ def ss_dp(system: VotingSystem) -> IndexVector:
 def _route(
     system: VotingSystem, engine: str, cap: int, by_size: bool
 ) -> tuple[str, list[int], int]:
-    """``engine``, or the pick for "auto" (see above), with the game scaled once by
-    `_int_game`; "enum" over ``cap`` is refused first, and a losing game takes the DP.
-    Enumeration over `_SPLIT_BUDGET` masks per half is refused, whichever route picked it."""
+    """``engine``, or the pick for "auto" (see above; it never reads ``cap``), with the
+    game scaled once by `_int_game`; "enum" over ``cap`` is refused first, a losing game
+    next.  Enumeration over `_SPLIT_BUDGET` masks per half is refused, whichever route picked it."""
     if engine not in ("enum", "dp", "auto"):
         raise InvalidInput(f"unknown engine {engine!r} (expected enum, dp or auto)")
     if engine == "enum" and system.n > cap:
         raise InvalidInput(f"{system.n} players exceeds the enumeration cap of {cap}")
     weights, qmin = _int_game(system)
-    if engine == "auto" and system.n <= cap and sum(weights) >= qmin:
+    _require_winnable(weights, qmin)
+    if engine == "auto":
         cells = _table_rows(weights, qmin, by_size)[1] * qmin
         engine = "dp" if cells <= min(1 << system.n, _DP_CELL_BUDGET) else "enum"
-    engine = "dp" if engine == "auto" else engine
     masks = 1 << (system.n + 1) // 2
     if engine == "enum" and masks > _SPLIT_BUDGET:
         raise TooLarge(
@@ -435,7 +437,6 @@ def _windows(system: VotingSystem, engine: str, cap: int, by_size: bool) -> _Pas
     nonzero weight (a zero weight swings nothing), and its winning count is
     ``2**n`` less the losing coalitions, ``P(<qmin)``."""
     route, weights, qmin = _route(system, engine, cap, by_size)
-    _require_winnable(weights, qmin)
     if route == "enum":
         bits = _field_bits(len(weights), native=True) if by_size else 0
         held, total = _winning_counts(weights, qmin, by_size)

@@ -19,6 +19,7 @@ import votingpower
 from votingpower import (
     SCAN_CSV_COLUMNS,
     FixedPoint,
+    InvariantViolation,
     QuotaMode,
     VotingSystem,
     ab_banzhaf_indices,
@@ -28,6 +29,7 @@ from votingpower import (
     divisor_system,
     format_rational,
     scale_to_integers,
+    shapley_shubik,
     ss_enum_subsets,
     trace_from_json,
 )
@@ -179,6 +181,15 @@ class TestIndexCommand:
             "error: enumeration needs 16777216 masks per half of the players, "
             "over its budget of 262144\n"
         )
+
+    def test_a_losing_game_over_the_split_budget_is_degenerate(self, capsys):
+        # the route refuses a losing game before it weighs the split budget
+        code, out, err = run(
+            capsys, "index", "--engine", "enum", "--max-players", "60", "--quota", "100",
+            "--weights", ",".join(["1"] * 48),
+        )
+        assert (code, out) == (EXIT_DEGENERATE, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "quota, weights, cells",
@@ -448,14 +459,27 @@ class TestDivisorCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("error:") and "trial-division bound" in err
 
-    def test_a_refused_report_names_the_one_row_table(self, capsys):
-        # 26 divisors, past the enumeration cap: one row of the quota's width is
-        # already over the DP's budget, and the size rows are wider still
-        code, out, err = run(capsys, "divisor", "33550336")
+    @pytest.mark.parametrize(
+        "n, top_ss", [(33550336, "25/26"), (8589869056, "33/34")], ids=["26-divisors", "34-divisors"]
+    )
+    def test_perfect_numbers_past_the_cap_enumerate(self, capsys, n, top_ss):
+        # past the enumeration cap, and one row of the quota's width is already
+        # over the DP's budget: auto enumerates, whatever the cap
+        code, out, err = run(capsys, "divisor", str(n), "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        payload = json.loads(out)
+        assert payload["formula_match"] is True
+        assert payload["shapley_shubik"][0] == top_ss  # the top seat
+
+    def test_a_perfect_number_over_the_split_budget_exits_2_at_once(self, capsys):
+        # 38 divisors: 2**19 masks per half, over the split budget of 2**18
+        start = time.perf_counter()
+        code, out, err = run(capsys, "divisor", "137438691328")
+        assert time.perf_counter() - start < 1
         assert (code, out) == (EXIT_USAGE, "")
         assert err == (
-            "error: the dynamic program needs 1 x 33550337 table cells, "
-            "over its budget of 8388608\n"
+            "error: enumeration needs 524288 masks per half of the players, "
+            "over its budget of 262144\n"
         )
 
     def test_prime_n_is_degenerate_free_but_has_no_catalog(self, capsys):
@@ -514,6 +538,33 @@ class TestFixedpointCommand:
     def test_all_zero_weights(self, capsys):
         code, _, err = run(capsys, "fixedpoint", "--weights", "0,0,0")
         assert code == EXIT_USAGE and "error:" in err
+
+    @pytest.mark.parametrize("index", ["banzhaf", "ss"])
+    def test_a_26_player_orbit_ends_under_a_memory_cap(self, index):
+        # past the enumeration cap, with quotas that outgrow the DP's budget
+        child = _run_capped(
+            "fixedpoint", "--weights", "3,2,5,2,8,8,8,7,4,2,8,1,7,7,1,8,5,4,2,6,1,1,1,9,1,7",
+            "--index", index, "--format", "json",
+        )
+        assert child.returncode == EXIT_OK, child.stderr
+        trace = trace_from_json(child.stdout)
+        assert trace.outcome == FixedPoint(index=24)
+        end = trace.states[-1]
+        game = VotingSystem(quota=Fraction(1, 2), mode=QuotaMode.STRICTLY_EXCEEDS, weights=end)
+        for engine in ("dp", "enum"):
+            if index == "banzhaf":
+                assert banzhaf(game, engine, cap=26)[1].values == end
+            else:
+                assert shapley_shubik(game, engine, cap=26).values == end
+
+    def test_a_broken_invariant_exits_1_without_a_traceback(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InvariantViolation("an identity the code relies on does not hold")
+
+        monkeypatch.setattr(cli, "iterate", broken)
+        code, out, err = run(capsys, "fixedpoint", "--weights", "1,1")
+        assert (code, out) == (EXIT_CHECK_FAILED, "")
+        assert err == "error: an identity the code relies on does not hold\n"
 
 
 class TestFamilyCommand:

@@ -578,6 +578,15 @@ class TestTraceSerialization:
         with pytest.raises(InvalidInput):
             trace_from_dict({"kind": "banzhaf", "states": states, "outcome": outcome})
 
+    @pytest.mark.parametrize(
+        "state", [["2", "3"], ["-1", "2"], ["1/2", "1/4"]], ids=["sum-5", "negative", "sum-3/4"]
+    )
+    def test_rejects_states_iterate_never_writes(self, state):
+        # every state iterate records is normalized: non-negative, summing to 1
+        payload = {"kind": "banzhaf", "states": [state], "outcome": {"type": "fixed", "index": 0}}
+        with pytest.raises(InvalidInput, match="non-negative and sums to 1"):
+            trace_from_dict(payload)
+
     def test_accepts_a_cycle_that_returns_to_its_entry(self):
         payload = {"kind": "banzhaf", "states": [["1"]] * 3}
         payload["outcome"] = {"type": "cycle", "entry": 1, "length": 2}

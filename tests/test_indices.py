@@ -242,9 +242,10 @@ class TestCapsAndErrors:
             VotingSystem(quota=10**12, mode=mode, weights=(1, 1)),
             VotingSystem(quota=10**12, mode=mode, weights=(1,) * 17),
         ):
-            # the DP answers without its table, so auto need not enumerate
+            # the route refuses the losing game before it reads a table shape
             for by_size in (False, True):
-                assert indices._route(s, "auto", DEFAULT_ENUM_CAP, by_size)[0] == "dp"
+                with pytest.raises(DegenerateSystem):
+                    indices._route(s, "auto", DEFAULT_ENUM_CAP, by_size)
             assert count_winning(s, "dp") == 0
             assert count_winning(s) == 0
             with pytest.raises(DegenerateSystem):
@@ -347,9 +348,12 @@ def auto_games(draw) -> tuple[VotingSystem, int, str]:
       table is wider than ``2**n`` but within the DP's budget: enumeration.
     * "primes": six or more distinct prime denominators and a quota of at
       least half the total, so the table is over the DP's budget: enumeration.
-    * "cap": more players than the cap: DP.
+    * "cap": a "wide" game with a cap below its player count: enumeration
+      still, since ``auto`` reads the game alone and the cap bounds only
+      ``engine="enum"``.
 
-    Quotas stay below the total, so the grand coalition always wins.
+    Quotas stay below a total of at least 2, so the grand coalition wins
+    under either mode.
     """
     mode = draw(st.sampled_from(tuple(QuotaMode)))
     route = draw(st.sampled_from(("small", "wide", "primes", "cap")))
@@ -358,16 +362,15 @@ def auto_games(draw) -> tuple[VotingSystem, int, str]:
         weights = [Fraction(draw(st.integers(p + 1, 2 * p - 1)), p) for p in dens]
         share = Fraction(draw(st.integers(50, 99)), 100)
         return _system(share * sum(weights), weights, mode), DEFAULT_ENUM_CAP, "enum"
-    if route == "wide":
+    if route in ("wide", "cap"):
         k = draw(st.integers(300, 999))
         weights = draw(st.lists(st.integers(300, 1000), max_size=6)) + [k, k + 1]
-        quota = draw(st.integers(-(-sum(weights) // 2), sum(weights) - 1))
-        return _system(quota, weights, mode), DEFAULT_ENUM_CAP, "enum"
-    weights = draw(st.lists(st.integers(0, 4), min_size=10, max_size=12).filter(any))
-    s = _system(draw(st.integers(1, max(1, sum(weights) - 1))), weights, mode)
-    if route == "cap":
-        return s, draw(st.integers(0, s.n - 1)), "dp"
-    return s, DEFAULT_ENUM_CAP, "dp"
+        s = _system(draw(st.integers(-(-sum(weights) // 2), sum(weights) - 1)), weights, mode)
+        cap = draw(st.integers(0, s.n - 1)) if route == "cap" else DEFAULT_ENUM_CAP
+        return s, cap, "enum"
+    light = st.lists(st.integers(0, 4), min_size=10, max_size=12)
+    weights = draw(light.filter(lambda w: sum(w) > 1))
+    return _system(draw(st.integers(1, sum(weights) - 1)), weights, mode), DEFAULT_ENUM_CAP, "dp"
 
 
 def _outcome(index, system: VotingSystem, engine: str, cap: int):
@@ -435,7 +438,7 @@ class TestStructuralProperties:
     @example(  # primes: six prime denominators
         (_system(4, [Fraction(p + 1, p) for p in AUTO_PRIMES[:6]]), DEFAULT_ENUM_CAP, "enum")
     )
-    @example((_system(3, (2,) + (1,) * 9), 2, "dp"))  # cap
+    @example((_system(1200, (300, 700, 999)), 2, "enum"))  # cap
     def test_auto_engine_agrees_with_explicit(self, game):
         s, cap, pick = game
         for by_size in (False, True):

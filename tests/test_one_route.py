@@ -7,10 +7,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import votingpower
 from votingpower import cli, core, fixedpoint, indices
 from votingpower.core import IndexKind, QuotaMode, VotingSystem
+from votingpower.errors import VotingPowerError
 
 PACKAGE_DIR = Path(votingpower.__file__).resolve().parent
 ENGINES = {"banzhaf_dp", "ss_dp", "banzhaf_enum", "ss_enum_subsets"}
@@ -73,6 +76,29 @@ def test_routes_reach_the_engine_they_name():
     for by_size in (False, True):
         assert indices._route(AUTO_DP, "auto", indices.DEFAULT_ENUM_CAP, by_size)[0] == "dp"
         assert indices._route(AUTO_ENUM, "auto", indices.DEFAULT_ENUM_CAP, by_size)[0] == "enum"
+
+
+def _auto_pick(system: VotingSystem, cap: int, by_size: bool):
+    """The engine auto picks, or the type of the refusal its route raised."""
+    try:
+        return indices._route(system, "auto", cap, by_size)[0]
+    except VotingPowerError as exc:
+        return type(exc)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.lists(st.integers(0, 1000), min_size=1, max_size=10).filter(any),
+    st.integers(1, 5000),
+    st.sampled_from(tuple(QuotaMode)),
+    st.booleans(),
+)
+@example([300, 700, 999], 1200, QuotaMode.MEETS_OR_EXCEEDS, False)  # a table wider than 2**3
+def test_auto_reads_the_game_alone(weights, quota, mode, by_size):
+    # the enumeration cap bounds engine="enum" only: no cap moves auto's pick
+    system = VotingSystem(quota=quota, mode=mode, weights=tuple(weights))
+    picks = {_auto_pick(system, cap, by_size) for cap in range(system.n + 2)}
+    assert len(picks) == 1
 
 
 @pytest.mark.parametrize("engine, system", ROUTES, ids=ROUTE_IDS)
